@@ -8,9 +8,8 @@ The generative trust layer over Algorithm 1 and the simulator:
   any :class:`~repro.core.plan.InterconnectPlan` (:func:`check_plan`);
 * :mod:`~repro.verify.oracle` — analytic-vs-simulated differential
   bounds and metamorphic properties;
-* :mod:`~repro.verify.conformance` — byte-exact differential proof
-  that the fast simulator backend (:mod:`repro.sim.fastcore`) is
-  indistinguishable from the reference engine;
+* :mod:`~repro.verify.conformance` — byte-exact check of the event
+  engine against goldens frozen from the never-fusing heap engine;
 * :mod:`~repro.verify.shrink` — greedy counterexample minimization;
 * :mod:`~repro.verify.harness` — campaign driver through the service
   layer (:func:`run_fuzz`), behind the ``repro fuzz`` CLI.
@@ -20,10 +19,9 @@ seed-reproduction recipe.
 """
 
 from .conformance import (
-    backend_conformance_check,
     conformance_sweep,
-    diff_recordings,
-    diff_simulated_times,
+    diff_fingerprint,
+    golden_conformance_check,
 )
 from .generate import FuzzSpec, GeneratedCase, case_rng, generate_case
 from .harness import (
@@ -57,13 +55,11 @@ __all__ = [
     "ShrinkResult",
     "Violation",
     "analyzer_check",
-    "backend_conformance_check",
     "case_rng",
     "case_size",
     "check_host_only_degeneration",
     "conformance_sweep",
-    "diff_recordings",
-    "diff_simulated_times",
+    "diff_fingerprint",
     "check_permutation_invariance",
     "check_plan",
     "check_scale_invariance",
@@ -71,6 +67,7 @@ __all__ = [
     "evaluate_case",
     "failing_checks",
     "generate_case",
+    "golden_conformance_check",
     "metamorphic_checks",
     "run_fuzz",
     "run_fuzz_job",
