@@ -52,27 +52,11 @@ BENCH_SCHEMA: Dict[str, str] = {
     ),
     "apps.<name>.sim_baseline_s": (
         "best-of-repeat wall seconds for the baseline (shared-bus) "
-        "discrete-event simulation on the reference engine, profiling "
-        "disabled"
+        "discrete-event simulation, profiling disabled"
     ),
     "apps.<name>.sim_proposed_s": (
         "best-of-repeat wall seconds for the proposed-system "
-        "discrete-event simulation on the reference engine, profiling "
-        "disabled"
-    ),
-    "apps.<name>.sim_fastcore_s": (
-        "best-of-repeat wall seconds for the baseline simulation on the "
-        "fast engine (repro.sim.fastcore: calendar queue + event "
-        "fusion); byte-identical results to sim_baseline_s"
-    ),
-    "apps.<name>.sim_fastcore_proposed_s": (
-        "best-of-repeat wall seconds for the proposed-system simulation "
-        "on the fast engine; byte-identical results to sim_proposed_s"
-    ),
-    "apps.<name>.fastcore_speedup": (
-        "sim_baseline_s / sim_fastcore_s — how much faster the fast "
-        "engine runs the baseline system; the CI gate bounds its "
-        "inverse (--max-fastcore-ratio)"
+        "discrete-event simulation, profiling disabled"
     ),
     "apps.<name>.sim_proposed_profiled_s": (
         "best-of-repeat wall seconds for the proposed-system simulation "
@@ -115,8 +99,8 @@ BENCH_SCHEMA: Dict[str, str] = {
     ),
     "service.cache_speedup": "batch_cold_s / batch_warm_s",
     "apps.<name>.sim_sampled_s": (
-        "per-pass wall seconds for the proposed-system simulation on "
-        "the reference engine with the wall-clock stack sampler "
+        "per-pass wall seconds for the proposed-system simulation "
+        "with the wall-clock stack sampler "
         "(repro.obs.flight.StackSampler) attached, amortized over a "
         "batch of passes sized to a >=50ms timing window; present only "
         "with --profile-self"
@@ -135,8 +119,7 @@ BENCH_SCHEMA: Dict[str, str] = {
     ),
     "self_profile.phases.<phase>": (
         "fraction of samples attributed to each simulator phase "
-        "(calendar_queue, numpy_lane, fusion, dispatch, "
-        "reference_engine, other) by innermost-frame match"
+        "(fusion, dispatch, other) by innermost-frame match"
     ),
     "self_profile.spans.<label>": (
         "samples attributed to each bench span (one sim:<app> span per "
@@ -145,10 +128,6 @@ BENCH_SCHEMA: Dict[str, str] = {
     "repeat": "timing repetitions; every *_s field is the minimum",
     "buckets": "utilization-timeseries bucket count used when profiling",
     "python": "interpreter version the numbers were measured on",
-    "sim_backend": (
-        "resolved engine used by the service batch measurement; per-app "
-        "sim metrics pin their own engine regardless"
-    ),
 }
 
 
@@ -230,33 +209,12 @@ def bench_app(
     design_s = _best_of(
         lambda: design_interconnect(name, fitted.graph, config), repeat
     )
-    # Both engines are timed with an explicitly pinned backend so the
-    # numbers stay comparable across CI matrix legs that set
-    # REPRO_SIM_BACKEND — the env var must shift test coverage, not
-    # silently relabel what a bench metric measured.
     sim_baseline_s = _best_of(
-        lambda: simulate_baseline(
-            fitted.graph, fitted.host_other_s, params, backend="reference"
-        ),
+        lambda: simulate_baseline(fitted.graph, fitted.host_other_s, params),
         repeat,
     )
     sim_proposed_s = _best_of(
-        lambda: simulate_proposed(
-            plan, fitted.host_other_s, params, backend="reference"
-        ),
-        repeat,
-    )
-    sim_fastcore_s = _best_of(
-        lambda: simulate_baseline(
-            fitted.graph, fitted.host_other_s, params, backend="fast"
-        ),
-        repeat,
-    )
-    sim_fastcore_proposed_s = _best_of(
-        lambda: simulate_proposed(
-            plan, fitted.host_other_s, params, backend="fast"
-        ),
-        repeat,
+        lambda: simulate_proposed(plan, fitted.host_other_s, params), repeat
     )
 
     # The profiled run rebuilds a fresh recorder each repeat so no run
@@ -264,15 +222,13 @@ def bench_app(
     profiled_best = float("inf")
     last_recorder = TimeseriesRecorder()
     last_times = simulate_proposed(
-        plan, fitted.host_other_s, params, recorder=last_recorder,
-        backend="reference",
+        plan, fitted.host_other_s, params, recorder=last_recorder
     )
     for _ in range(repeat):
         recorder = TimeseriesRecorder()
         start = time.perf_counter()
         times = simulate_proposed(
-            plan, fitted.host_other_s, params, recorder=recorder,
-            backend="reference",
+            plan, fitted.host_other_s, params, recorder=recorder
         )
         profiled_best = min(profiled_best, time.perf_counter() - start)
         last_recorder, last_times = recorder, times
@@ -297,9 +253,7 @@ def bench_app(
     row: Dict[str, float] = {}
     if profile_self:
         overhead, sim_sampled_s = _sampler_overhead(
-            lambda: simulate_proposed(
-                plan, fitted.host_other_s, params, backend="reference"
-            ),
+            lambda: simulate_proposed(plan, fitted.host_other_s, params),
             repeat,
             SELF_PROFILE_INTERVAL_S,
         )
@@ -309,11 +263,6 @@ def bench_app(
         "design_s": design_s,
         "sim_baseline_s": sim_baseline_s,
         "sim_proposed_s": sim_proposed_s,
-        "sim_fastcore_s": sim_fastcore_s,
-        "sim_fastcore_proposed_s": sim_fastcore_proposed_s,
-        "fastcore_speedup": (
-            sim_baseline_s / sim_fastcore_s if sim_fastcore_s > 0 else 1.0
-        ),
         "sim_proposed_profiled_s": profiled_best,
         "profile_build_s": profile_build_s,
         "profiler_overhead": (
@@ -335,14 +284,13 @@ def bench_self_profile(
     params: SystemParams = SystemParams(),
     interval_s: float = 0.0005,
 ) -> "tuple[Dict[str, Any], StackSampler]":
-    """Attribute fast-engine simulation time to simulator phases.
+    """Attribute simulation time to simulator phases.
 
     The attribution pass samples finer (0.5ms) than the overhead
     measurement (5ms) and loops each sim many times: here resolution
     matters and the cost is not being timed. One sampler observes the
-    fast-backend runs of every app, each
-    wrapped in a ``sim:<app>`` span so samples can be folded both by
-    code phase (calendar queue, numpy lane, fusion, dispatch) and by
+    simulations of every app, each wrapped in a ``sim:<app>`` span so
+    samples can be folded both by code phase (fusion, dispatch) and by
     application. Returns the section for the report plus the stopped
     sampler, so callers can export the full speedscope document.
     """
@@ -370,12 +318,9 @@ def bench_self_profile(
                 # The sims are sub-millisecond; loop well past `repeat`
                 # so each span accumulates enough samples to attribute.
                 for _ in range(max(repeat, 1) * 10):
-                    simulate_proposed(
-                        plan, fitted.host_other_s, params, backend="fast"
-                    )
+                    simulate_proposed(plan, fitted.host_other_s, params)
                     simulate_baseline(
-                        fitted.graph, fitted.host_other_s, params,
-                        backend="fast",
+                        fitted.graph, fitted.host_other_s, params
                     )
     section: Dict[str, Any] = {
         "interval_s": interval_s,
@@ -386,14 +331,12 @@ def bench_self_profile(
     return section, sampler
 
 
-def bench_service(
-    apps: Sequence[str], sim_backend: Optional[str] = None
-) -> Dict[str, float]:
+def bench_service(apps: Sequence[str]) -> Dict[str, float]:
     """Time a cold vs warm service batch over ``apps`` (serial mode)."""
     from .service import DesignService
     from .service.jobs import DesignJob
 
-    service = DesignService(jobs=1, sim_backend=sim_backend)
+    service = DesignService(jobs=1)
     jobs = [DesignJob(app=name) for name in apps]
 
     start = time.perf_counter()
@@ -415,16 +358,13 @@ def run_bench(
     repeat: int = 3,
     buckets: int = 64,
     out: Optional[Union[str, "Any"]] = None,
-    sim_backend: Optional[str] = None,
     profile_self: bool = False,
     profile_out: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Benchmark every hot path; optionally write the JSON artifact.
 
-    Per-app simulation metrics pin their engine explicitly (reference
-    for ``sim_*_s``, fast for ``sim_fastcore*_s``); ``sim_backend``
-    only steers the end-to-end service batch measurement. Unknown names
-    raise :class:`~repro.errors.ConfigurationError` before any timing.
+    Unknown application names raise
+    :class:`~repro.errors.ConfigurationError` before any timing.
     """
     if repeat < 1:
         raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
@@ -433,27 +373,17 @@ def run_bench(
         raise ConfigurationError(
             f"unknown applications: {sorted(unknown)} (have: {list(APP_NAMES)})"
         )
-    from .sim.backend import make_engine, resolve_backend
-
-    resolved_backend = resolve_backend(sim_backend)
-    # Warm both engines before any timing: the fast backend's modules
-    # import lazily on first use, and at --repeat 1 that one-time cost
-    # would otherwise land inside sim_fastcore_s and read as a ~2x
-    # slowdown that best-of-N runs never see.
-    make_engine("reference")
-    make_engine("fast")
     report: Dict[str, Any] = {
         "kind": BENCH_KIND,
         "version": FORMAT_VERSION,
         "repeat": repeat,
         "buckets": buckets,
         "python": platform.python_version(),
-        "sim_backend": resolved_backend,
         "apps": {
             name: bench_app(name, repeat, buckets, profile_self=profile_self)
             for name in apps
         },
-        "service": bench_service(apps, sim_backend=sim_backend),
+        "service": bench_service(apps),
         "schema": BENCH_SCHEMA,
     }
     if profile_self:
@@ -472,8 +402,8 @@ def render_bench(report: Dict[str, Any]) -> str:
         f"benchmark report (best of {report['repeat']}, "
         f"python {report['python']})",
         f"  {'app':<8}{'design':>10}{'sim base':>10}{'sim prop':>10}"
-        f"{'fastcore':>10}{'profiled':>10}{'build':>10}{'lint':>10}"
-        f"{'static':>10}{'overhead':>10}{'fast x':>8}{'static x':>9}",
+        f"{'profiled':>10}{'build':>10}{'lint':>10}"
+        f"{'static':>10}{'overhead':>10}{'static x':>9}",
     ]
     for name, row in report["apps"].items():
         lines.append(
@@ -481,13 +411,11 @@ def render_bench(report: Dict[str, Any]) -> str:
             f"{row['design_s'] * 1e3:>8.2f}ms"
             f"{row['sim_baseline_s'] * 1e3:>8.2f}ms"
             f"{row['sim_proposed_s'] * 1e3:>8.2f}ms"
-            f"{row.get('sim_fastcore_s', 0.0) * 1e3:>8.2f}ms"
             f"{row['sim_proposed_profiled_s'] * 1e3:>8.2f}ms"
             f"{row['profile_build_s'] * 1e3:>8.2f}ms"
             f"{row.get('lint_s', 0.0) * 1e3:>8.2f}ms"
             f"{row.get('static_s', 0.0) * 1e3:>8.2f}ms"
             f"{row['profiler_overhead']:>9.2f}x"
-            f"{row.get('fastcore_speedup', 1.0):>7.2f}x"
             f"{row.get('static_speedup', 1.0):>8.2f}x"
         )
     profile = report.get("self_profile")

@@ -215,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-dir", type=str, default=None, metavar="DIR",
                    help="profile every simulated point and persist the "
                         "profiles here (one JSON per job fingerprint)")
-    p.add_argument("--sim-backend", type=str, default=None,
-                   metavar="{reference,fast,auto}",
-                   help="simulation engine for fresh points (results are "
-                        "byte-identical; default: REPRO_SIM_BACKEND or "
-                        "reference)")
 
     p = sub.add_parser(
         "bench",
@@ -247,14 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None, metavar="R",
                    help="regression ratio for --compare (default 1.5 = "
                         "50%% slower than the historical median)")
-    p.add_argument("--max-fastcore-ratio", type=float, default=None,
-                   metavar="R",
-                   help="exit 1 unless sim_fastcore_s <= R * sim_baseline_s "
-                        "(gates on fluid when benched)")
-    p.add_argument("--sim-backend", type=str, default=None,
-                   metavar="{reference,fast,auto}",
-                   help="engine for the service batch measurement (per-app "
-                        "sim metrics always pin their own engine)")
     p.add_argument("--profile-self", action="store_true",
                    help="also sample the benchmark's own stacks: adds "
                         "sim_sampled_s / sampler_overhead per app and a "
@@ -340,10 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flight-dir", type=str, default=".", metavar="DIR",
                    help="directory for flight-report dumps written on "
                         "crash, SIGQUIT, or a watchdog trip (default: cwd)")
-    p.add_argument("--sim-backend", type=str, default=None,
-                   metavar="{reference,fast,auto}",
-                   help="simulation engine for served jobs (results are "
-                        "byte-identical; a pure throughput knob)")
 
     p = sub.add_parser(
         "top",
@@ -729,7 +712,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         tracer = Tracer()
     service = DesignService(
         jobs=args.jobs, cache_dir=args.cache_dir, tracer=tracer,
-        profile_dir=args.profile_dir, sim_backend=args.sim_backend,
+        profile_dir=args.profile_dir,
     )
     points = run_sweep(grid, service=service)
     text = to_csv(points, args.output)
@@ -777,7 +760,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     apps = [a for a in args.apps.split(",") if a]
     report = run_bench(
         apps=apps, repeat=args.repeat, buckets=args.buckets, out=args.out,
-        sim_backend=args.sim_backend, profile_self=profile_self,
+        profile_self=profile_self,
         profile_out=args.profile_out,
     )
     print(render_bench(report))
@@ -849,26 +832,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 1
         print(f"profiler overhead gate ok: {name} {overhead:.2f}x "
               f"<= {args.max_overhead:.2f}x")
-
-    if args.max_fastcore_ratio is not None:
-        rows = report["apps"]
-        # Gate on fluid (the workload the fast engine's acceptance
-        # criterion is stated against); fall back to the app where the
-        # fast engine does worst when fluid is not benched.
-        name = ("fluid" if "fluid" in rows
-                else max(rows, key=lambda n: rows[n]["sim_fastcore_s"]
-                         / rows[n]["sim_baseline_s"]))
-        ratio = rows[name]["sim_fastcore_s"] / rows[name]["sim_baseline_s"]
-        if ratio > args.max_fastcore_ratio:
-            print(
-                f"FAIL: fastcore ratio on {name} is {ratio:.2f}x "
-                f"> allowed {args.max_fastcore_ratio:.2f}x "
-                f"(fast engine too slow vs reference)",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"fastcore gate ok: {name} sim_fastcore_s is {ratio:.2f}x "
-              f"sim_baseline_s <= {args.max_fastcore_ratio:.2f}x")
 
     if args.max_sampler_overhead is not None:
         rows = report["apps"]
@@ -964,7 +927,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         event_log_path=args.event_log,
         event_log_max_mb=args.event_log_max_mb,
         flight_dir=args.flight_dir,
-        sim_backend=args.sim_backend,
     )
 
     def _announce(server) -> None:

@@ -141,7 +141,6 @@ def run_experiment(
     profile: bool = False,
     profile_buckets: int = 64,
     lint: bool = False,
-    sim_backend: Optional[str] = None,
     graph_source: str = "trace",
 ) -> ExperimentResult:
     """Full paper methodology for one application.
@@ -166,12 +165,6 @@ def run_experiment(
     engine over the proposed plan and publishes the
     :class:`~repro.analyze.AnalysisReport` on ``result.lint``.
 
-    ``sim_backend`` selects the simulation engine (``reference``,
-    ``fast`` or ``auto``; see :mod:`repro.sim.backend`). Both engines
-    are proven byte-identical by the conformance suite, so the choice
-    never changes results — only how fast they arrive. ``None`` defers
-    to the process default / ``REPRO_SIM_BACKEND`` / ``reference``.
-
     ``graph_source`` selects how the communication graph is derived:
     ``"trace"`` (default) profiles an instrumented execution;
     ``"static"`` analyzes the app's declarative task-graph description
@@ -186,10 +179,6 @@ def run_experiment(
             f"unknown graph_source {graph_source!r} "
             f"(allowed: {', '.join(GRAPH_SOURCES)})"
         )
-    # Resolve eagerly: unknown names fail here, before any work is done.
-    from .sim.backend import resolve_backend
-
-    backend = resolve_backend(sim_backend)
 
     with tracer.span("experiment", app=name, scale=scale, seed=seed):
         with tracer.span("profile", app=name):
@@ -245,12 +234,11 @@ def run_experiment(
             with tracer.span("simulate", app=name, system="baseline"):
                 sim_base = simulate_baseline(
                     fitted.graph, fitted.host_other_s, params,
-                    recorder=rec_base, backend=backend,
+                    recorder=rec_base,
                 )
             with tracer.span("simulate", app=name, system="proposed"):
                 sim_prop = simulate_proposed(
-                    plan, fitted.host_other_s, params, recorder=rec_prop,
-                    backend=backend,
+                    plan, fitted.host_other_s, params, recorder=rec_prop
                 )
             if profile:
                 with tracer.span("profile.build", app=name):

@@ -23,8 +23,8 @@ Design constraints, in order:
 
 Exports: collapsed-stack text (flamegraph.pl / inferno compatible),
 speedscope JSON (:data:`SAMPLED_PROFILE_KIND`), frame-needle *phase
-attribution* (:data:`SIM_PHASES` splits simulator time into calendar
-queue vs. dispatch vs. fusion vs. numpy lane), and span folding against
+attribution* (:data:`SIM_PHASES` splits simulator time into event
+fusion vs. queued dispatch), and span folding against
 a :class:`~repro.obs.trace.Tracer`.
 """
 
@@ -51,14 +51,11 @@ StackKey = Tuple[str, ...]
 
 #: Frame-label needles attributing simulator samples to engine phases.
 #: Scanned innermost-frame-first; first match wins; order matters (the
-#: fusion needles must hit before the engine file needle claims the
+#: fusion needle must hit before the engine file needle claims the
 #: frame for generic dispatch).
 SIM_PHASES: Tuple[Tuple[str, str], ...] = (
-    ("calendar_queue", "fastcore/calendar.py"),
-    ("numpy_lane", "fastcore/vector.py"),
-    ("fusion", "advance (fastcore/engine.py"),
-    ("dispatch", "fastcore/engine.py"),
-    ("reference_engine", "sim/engine.py"),
+    ("fusion", "advance (sim/engine.py"),
+    ("dispatch", "sim/engine.py"),
 )
 
 #: Phase bucket for samples no needle claims.

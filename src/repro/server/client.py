@@ -11,7 +11,10 @@ documents and translates HTTP failure statuses into
 — the incremental-delivery property the streaming tests assert is
 observable right here, not an implementation detail. A stream that ends
 before the terminal ``done`` event raises :class:`ServerError` instead
-of returning silently short.
+of returning silently short, and so does a connection that fails
+(reset, closed, malformed) while a response is being read: callers see
+a complete result or a typed ``ServerError(status=0)``, never a raw
+socket error.
 
 Every request mints a fresh W3C trace context and sends it as a
 ``traceparent`` header; the server adopts the trace id, threads it
@@ -23,7 +26,8 @@ can correlate client-side observations with server-side telemetry.
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection, HTTPResponse
+from contextlib import contextmanager
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
@@ -31,6 +35,19 @@ from ..errors import ProtocolError, ServerError
 from ..obs.runtime.tracecontext import TraceContext, new_trace_context
 from ..obs.trace import Tracer, active
 from .http import parse_sse_stream, split_host_port
+
+
+@contextmanager
+def _truncation_is_server_error(what: str) -> Iterator[None]:
+    """Re-raise a transport failure while reading a response as typed."""
+    try:
+        yield
+    except (OSError, HTTPException) as exc:
+        raise ServerError(
+            f"{what} truncated: connection failed mid-response "
+            f"({type(exc).__name__}: {exc})",
+            status=0,
+        ) from exc
 
 
 class DesignClient:
@@ -126,8 +143,10 @@ class DesignClient:
                 conn.request(
                     method, path, body=payload, headers=self._headers(ctx)
                 )
-                resp = conn.getresponse()
-                return self._raise_for_status(resp, resp.read())
+                with _truncation_is_server_error(f"{method} {path} response"):
+                    resp = conn.getresponse()
+                    raw = resp.read()
+                return self._raise_for_status(resp, raw)
         finally:
             conn.close()
 
@@ -204,13 +223,15 @@ class DesignClient:
                 "POST", "/v1/sweep/stream", body=body,
                 headers=self._headers(ctx),
             )
-            resp = conn.getresponse()
-            if resp.status != 200:
-                self._raise_for_status(resp, resp.read())
+            with _truncation_is_server_error("sweep stream"):
+                resp = conn.getresponse()
+                if resp.status != 200:
+                    self._raise_for_status(resp, resp.read())
 
             def _lines() -> Iterator[str]:
                 while True:
-                    line = resp.readline()
+                    with _truncation_is_server_error("sweep stream"):
+                        line = resp.readline()
                     if not line:
                         return
                     yield line.decode("utf-8")
@@ -265,8 +286,9 @@ class DesignClient:
         conn = self._connect()
         try:
             conn.request("GET", "/metrics", headers=self._headers())
-            resp = conn.getresponse()
-            raw = resp.read()
+            with _truncation_is_server_error("GET /metrics response"):
+                resp = conn.getresponse()
+                raw = resp.read()
             if resp.status != 200:
                 self._raise_for_status(resp, raw)
             return raw.decode("utf-8")

@@ -32,11 +32,7 @@ from .app import DesignServer, ServerConfig
 
 def build_service(config: ServerConfig) -> DesignService:
     """The service a standalone server wraps, per the config knobs."""
-    return DesignService(
-        jobs=config.jobs,
-        cache_dir=config.cache_dir,
-        sim_backend=config.sim_backend,
-    )
+    return DesignService(jobs=config.jobs, cache_dir=config.cache_dir)
 
 
 async def run_server(

@@ -79,24 +79,10 @@ class DesignService:
         profile_dir: Optional[Union[str, pathlib.Path]] = None,
         lint_dir: Optional[Union[str, pathlib.Path]] = None,
         events: EventLog = NULL_LOG,
-        sim_backend: Optional[str] = None,
         sample_interval_s: Optional[float] = None,
     ) -> None:
         if executor_config is None:
             executor_config = ExecutorConfig(jobs=jobs)
-        if sim_backend is not None:
-            # Fail loudly at construction on a typo'd backend name; the
-            # *symbolic* name (possibly "auto") is what travels to the
-            # workers, so "auto" resolves against each worker's own
-            # numpy availability.
-            from ..sim.backend import resolve_backend
-
-            resolve_backend(sim_backend)
-        #: Simulation backend forwarded to every executed job. It never
-        #: touches DesignJob or its fingerprint: both backends are
-        #: proven byte-identical, so cached summaries remain valid no
-        #: matter which backend wrote them.
-        self.sim_backend = sim_backend
         self.cache = cache if cache is not None else ResultCache(cache_dir=cache_dir)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = active(tracer)
@@ -125,7 +111,6 @@ class DesignService:
             profile=self.profile_dir is not None,
             lint=self.lint_dir is not None,
             events=self.events,
-            sim_backend=sim_backend,
             sample_interval_s=sample_interval_s,
         )
         # Cross-thread duplicate suppression: fingerprint -> Future of

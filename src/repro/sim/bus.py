@@ -93,7 +93,7 @@ class PlbBus(Component):
         res = self._resource
         while remaining > 0:
             burst = min(remaining, self.typical_burst_bytes)
-            if engine.fastlane and res._in_use < res.capacity:
+            if res._in_use < res.capacity:
                 # Fast lane: the bus is free — if no queued event lands
                 # within the burst either, the whole grant→hold→release
                 # round trip fuses into straight-line code. Bookkeeping

@@ -51,7 +51,7 @@ class Crossbar(Component):
         """Process generator: switched access to one of the pair.
 
         The switch itself is combinational (no added cycles); time is the
-        target BRAM's port occupancy only. Under the fast backend the
+        target BRAM's port occupancy only. The
         delegated :meth:`~repro.sim.memory.Bram.access` takes its own
         fused lane when the port is free, so a switched access costs no
         engine round-trip either — the crossbar adds nothing to fuse.

@@ -14,7 +14,9 @@ The engine provides exactly the primitives the system models need:
 
 Determinism: simultaneous events fire in schedule order (a monotonically
 increasing sequence number breaks time ties), so identical inputs always
-produce identical traces.
+produce identical traces. Components may *fuse* a provably uncontended
+timed operation instead of queueing it (:meth:`Engine.try_advance`);
+fusion never changes a result, sample or timestamp.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ class Event:
         with N same-timestamp entries. An untriggered event with no
         waiters schedules nothing at all.
 
-        On a fusing engine the dispatch loop additionally maintains the
-        engine's pending-callback count: callbacks still waiting inside
-        this closure are invisible to the event queue, and a fused
-        operation in callback *i* advancing ``now`` before callback
-        ``i+1`` ran would serialize work the reference engine runs
-        concurrently. The count makes :meth:`Engine.can_advance` refuse
-        exactly when the per-callback scheduling would have (siblings
-        queued at the same timestamp ⇒ ``peek == now`` ⇒ no fusion).
+        The dispatch loop also maintains the engine's pending-callback
+        count: callbacks still waiting inside this closure are invisible
+        to the event queue, and a fused operation in callback *i*
+        advancing ``now`` before callback ``i+1`` ran would serialize
+        work that one-thunk-per-callback scheduling runs concurrently.
+        The count makes :meth:`Engine.can_advance` refuse exactly when
+        that scheduling would have (siblings queued at the same
+        timestamp ⇒ ``peek == now`` ⇒ no fusion).
         """
         if self.triggered:
             raise SimulationError("event triggered twice")
@@ -67,20 +69,12 @@ class Event:
             self.callbacks = []
             engine = self.engine
 
-            if engine.fastlane:
-
-                def dispatch() -> None:
-                    remaining = len(callbacks)
-                    for cb in callbacks:
-                        remaining -= 1
-                        engine._batch_remaining = remaining
-                        cb(self)
-
-            else:
-
-                def dispatch() -> None:
-                    for cb in callbacks:
-                        cb(self)
+            def dispatch() -> None:
+                remaining = len(callbacks)
+                for cb in callbacks:
+                    remaining -= 1
+                    engine._batch_remaining = remaining
+                    cb(self)
 
             engine.schedule(0.0, dispatch)
         return self
@@ -161,19 +155,20 @@ class Process(Event):
 
 
 class Engine:
-    """The event loop: a priority queue over (time, seq, thunk)."""
+    """The event loop: a priority queue over (time, seq, thunk).
 
-    #: Event-fusion capability flag. Components consult this before
-    #: taking a fused (synchronous) execution path; the reference
-    #: engine keeps it False so its behavior — and therefore the
-    #: differential oracle — is exactly the historical one.
-    fastlane = False
-
-    #: Callbacks still pending inside the currently running
-    #: ``Event.succeed`` dispatch batch. Only written on fusing engines
-    #: (``fastlane`` True), where a non-zero value vetoes fusion: those
-    #: callbacks are due *now* but invisible to the event queue.
-    _batch_remaining = 0
+    **Event fusion.** Components may ask, via :meth:`try_advance` or
+    :meth:`can_advance` + :meth:`advance`, to execute a timed operation
+    of duration ``d`` *synchronously* when no queued event lands in
+    ``(now, now + d]``. The check is strict (``peek > now + d``): an
+    event at exactly ``now + d`` was scheduled earlier, carries a lower
+    sequence number, and must run *before* the fused continuation
+    would. Fused paths replicate the queued path's float arithmetic
+    operation for operation (``now = now + d``, the same single
+    addition ``schedule`` performs), so timestamps, busy-time sums and
+    makespans are bit-identical to never fusing —
+    :mod:`repro.verify.conformance` checks that against goldens.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -181,6 +176,16 @@ class Engine:
         self._seq = count()
         self._active = 0  # processes started but not finished
         self.events_processed = 0  # thunks executed by run()
+        #: Timed operations executed synchronously (never queued). Like
+        #: ``events_processed`` this is engine-implementation
+        #: observability, outside the conformance contract.
+        self.fused_events = 0
+        #: Callbacks still pending inside the currently running
+        #: ``Event.succeed`` dispatch batch. A non-zero value vetoes
+        #: fusion: those callbacks are due *now* but invisible to the
+        #: event queue.
+        self._batch_remaining = 0
+        self._until: Optional[float] = None
 
     def schedule(self, delay: float, thunk: Callable[[], None]) -> None:
         """Run ``thunk`` after ``delay`` simulated seconds."""
@@ -202,22 +207,46 @@ class Engine:
         self.schedule(delay, lambda: ev.succeed())
         return ev
 
-    # -- event-fusion API (no-ops here; see repro.sim.fastcore.engine) -----
+    # -- event fusion -------------------------------------------------------
     def peek_time(self) -> float:
         """Earliest queued event time (``+inf`` when idle)."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def can_advance(self, delay: float) -> bool:
-        """The reference engine never fuses: every wait is scheduled."""
-        return False
+        """Whether a timed operation of ``delay`` seconds may be fused.
 
-    def advance(self, delay: float) -> None:  # pragma: no cover - guarded
-        raise SimulationError("reference engine cannot fuse events")
+        True only when *no* queued event fires at or before
+        ``now + delay`` (strictly — ties must run first), no sibling
+        callback of the running dispatch batch is pending, and the
+        fused landing time stays within a ``run(until=...)`` horizon.
+        """
+        if self._batch_remaining:
+            # Each pending sibling callback would be a same-time queued
+            # thunk under one-thunk-per-callback scheduling, so
+            # peek == now would veto fusion; refuse the same way.
+            return False
+        target = self.now + delay
+        until = self._until
+        if until is not None and target > until:
+            return False
+        queue = self._queue
+        return not queue or queue[0][0] > target
+
+    def advance(self, delay: float) -> None:
+        """Commit a fused operation: jump ``now`` forward by ``delay``.
+
+        Only valid immediately after :meth:`can_advance` returned True.
+        """
+        self.now = self.now + delay
+        self.fused_events += 1
 
     def try_advance(self, delay: float) -> bool:
-        """The reference engine never fuses: every wait is scheduled."""
+        """Fuse a pure wait of ``delay`` seconds if provably safe."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
+        if self.can_advance(delay):
+            self.advance(delay)
+            return True
         return False
 
     def run(self, until: Optional[float] = None, check_deadlock: bool = True) -> float:
@@ -227,17 +256,22 @@ class Engine:
         queue empties while processes are still alive — i.e. somebody is
         waiting on an event nobody will ever trigger.
         """
-        while self._queue:
-            t, _seq, thunk = heapq.heappop(self._queue)
-            if until is not None and t > until:
-                heapq.heappush(self._queue, (t, _seq, thunk))
-                self.now = until
-                return self.now
-            if t < self.now - 1e-18:  # pragma: no cover - defensive
-                raise SimulationError("time went backwards")
-            self.now = t
-            self.events_processed += 1
-            thunk()
+        queue = self._queue
+        self._until = until
+        try:
+            while queue:
+                t, seq, thunk = heapq.heappop(queue)
+                if until is not None and t > until:
+                    heapq.heappush(queue, (t, seq, thunk))
+                    self.now = until
+                    return self.now
+                if t < self.now - 1e-18:  # pragma: no cover - defensive
+                    raise SimulationError("time went backwards")
+                self.now = t
+                self.events_processed += 1
+                thunk()
+        finally:
+            self._until = None
         if check_deadlock and self._active > 0:
             raise DeadlockError(
                 f"{self._active} process(es) still waiting with an empty "
@@ -302,7 +336,7 @@ class Resource:
         """Grant bookkeeping for a fused (synchronous) uncontended hold.
 
         Callers (component fast lanes) must have checked
-        ``_in_use < capacity`` under ``engine.fastlane``; this replays
+        ``_in_use < capacity`` and ``engine.can_advance``; this replays
         exactly what :meth:`request` → :meth:`_grant` would have
         recorded for an uncontended grant — counters, busy-window
         start, and the recorder occupancy sample — without allocating

@@ -54,7 +54,7 @@ class Bram(Component):
             )
         engine = self.engine
         ports = self.ports
-        if engine.fastlane and ports._in_use < ports.capacity:
+        if ports._in_use < ports.capacity:
             # Fast lane: a free port and an empty horizon — the whole
             # request→stream→release cycle fuses into straight-line code.
             hold = self.cycles(self.access_cycles(nbytes))
@@ -101,7 +101,7 @@ class Sdram(Component):
         engine = self.engine
         port = self.port
         cycles = self.latency_cycles + math.ceil(nbytes / self.width_bytes)
-        if engine.fastlane and port._in_use < port.capacity:
+        if port._in_use < port.capacity:
             # Fast lane: uncontended controller, empty horizon.
             hold = self.cycles(cycles)
             if engine.can_advance(hold):

@@ -183,10 +183,8 @@ class NocMesh(Component):
                     self.cycles(self.params.hop_latency_cycles)
                     + link.serialization_seconds(packet.nbytes)
                 )
-                if (
-                    engine.fastlane
-                    and arbiter._in_use < arbiter.capacity
-                    and engine.can_advance(hold)
+                if arbiter._in_use < arbiter.capacity and engine.can_advance(
+                    hold
                 ):
                     # Fast lane: a free link and an empty horizon — the
                     # hop's grant→traverse→release fuses synchronously.

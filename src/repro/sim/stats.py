@@ -56,10 +56,9 @@ class SimulationStats:
     dma_peak_queue: int = 0
     #: Discrete events the engine executed for this run.
     engine_events: int = 0
-    #: Timed operations the fast backend executed synchronously (0 on
-    #: the reference engine). Like ``engine_events`` this describes the
-    #: engine implementation, not the simulated system, so it sits
-    #: outside the backend-equivalence contract.
+    #: Timed operations the engine fused (executed synchronously). Like
+    #: ``engine_events`` this describes the engine implementation, not
+    #: the simulated system, so it sits outside the conformance contract.
     engine_fused_events: int = 0
 
     @property
@@ -169,9 +168,7 @@ def collect_stats(
         dma_transfers=dma.transfers if dma is not None else 0,
         dma_peak_queue=dma.peak_pending if dma is not None else 0,
         engine_events=engine.events_processed if engine is not None else 0,
-        engine_fused_events=(
-            getattr(engine, "fused_events", 0) if engine is not None else 0
-        ),
+        engine_fused_events=engine.fused_events if engine is not None else 0,
     )
 
 

@@ -30,7 +30,6 @@ from ..core.parallel import PipelineCase
 from ..core.plan import InterconnectPlan, memory_node
 from ..errors import SimulationError
 from ..units import speedup
-from .backend import make_engine
 from .bus import PlbBus
 from .dma import DmaEngine
 from .engine import Engine, Event
@@ -176,7 +175,6 @@ def simulate_baseline(
     host_other_s: float,
     params: SystemParams = SystemParams(),
     recorder=None,
-    backend: Optional[str] = None,
 ) -> SimulatedTimes:
     """The conventional bus-based accelerator (Section III-A).
 
@@ -184,11 +182,8 @@ def simulate_baseline(
     on simulation-time profiling; deliveries are recorded host-mediated
     (``host→k`` of ``D_in``, ``k→host`` of ``D_out``) because every byte
     crosses the bus through the host in this system.
-
-    ``backend`` selects the event engine (see :mod:`repro.sim.backend`);
-    both backends produce byte-identical results.
     """
-    engine = make_engine(backend)
+    engine = Engine()
     bus = params.make_bus(engine)
     dma = DmaEngine(engine, bus, setup_cycles=params.dma_setup_cycles)
     _attach_recorder(recorder, bus=bus, dma=dma)
@@ -233,7 +228,6 @@ def simulate_pipelined_baseline(
     host_other_s: float,
     params: SystemParams = SystemParams(),
     recorder=None,
-    backend: Optional[str] = None,
 ) -> SimulatedTimes:
     """A smarter bus-only baseline: double-buffered input fetch.
 
@@ -245,7 +239,7 @@ def simulate_pipelined_baseline(
     local-memory port and bus). The ablation bench compares it against
     both the paper's baseline and the proposed system.
     """
-    engine = make_engine(backend)
+    engine = Engine()
     bus = params.make_bus(engine)
     dma = DmaEngine(engine, bus, setup_cycles=params.dma_setup_cycles)
 
@@ -304,7 +298,6 @@ def simulate_proposed(
     params: SystemParams = SystemParams(),
     components_out: Optional[Dict[str, object]] = None,
     recorder=None,
-    backend: Optional[str] = None,
 ) -> SimulatedTimes:
     """Execute the designed system as a concurrent process network.
 
@@ -320,7 +313,7 @@ def simulate_proposed(
     plan's graph for byte conservation.
     """
     graph = plan.graph
-    engine = make_engine(backend)
+    engine = Engine()
     bus = params.make_bus(engine)
     dma = DmaEngine(engine, bus, setup_cycles=params.dma_setup_cycles)
 

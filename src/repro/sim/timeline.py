@@ -31,8 +31,8 @@ def timeline_digest(times: SimulatedTimes, width: int = 60) -> str:
     Hashes the ``repr`` of every kernel span (full float precision — a
     one-ULP drift changes the digest) together with the rendered Gantt
     chart, so two digests match iff the timelines are byte-identical
-    both numerically and as displayed. The backend conformance suite
-    compares digests across simulator engines.
+    both numerically and as displayed. The simulator conformance
+    goldens pin one digest per (case, system).
     """
     h = hashlib.sha256()
     h.update(times.label.encode())

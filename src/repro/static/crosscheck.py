@@ -14,7 +14,7 @@ against :func:`repro.static.analyzer.analyze`'s output per edge:
   *contain* the traced value within their declared ``[lo, hi]`` bounds,
   and each one must be named by a typed approximation record;
 * per-kernel **work** counters must agree bit-for-bit (``repr``
-  equality, as in the backend conformance suite);
+  equality, as in the simulator conformance suite);
 * the heaviest-first **kernel→kernel edge order** must match, so
   Algorithm 1 walks both graphs in the same sequence.
 

@@ -217,19 +217,21 @@ class TestStackSampler:
     def test_phase_attribution_by_innermost_frame(self):
         sampler = StackSampler(interval_s=0.001)
         key = (
-            "run (fastcore/engine.py)",
-            "pop (fastcore/calendar.py)",
+            "run (sim/engine.py)",
+            "transfer (sim/bus.py)",
+            "can_advance (sim/engine.py)",
         )
         with sampler._lock:
             sampler._counts[(1, key)] = 3
             sampler._counts[(1, ("main (repro/cli.py)",))] = 1
             sampler._samples = 4
         totals = sampler.phase_totals(SIM_PHASES)
-        # innermost frame (calendar.py) wins over the engine file needle
-        assert totals["calendar_queue"] == 3
+        # innermost frame (can_advance) wins: fusion, not dispatch
+        assert totals["fusion"] == 3
+        assert totals["dispatch"] == 0
         assert totals["other"] == 1
         fractions = sampler.phase_fractions(SIM_PHASES)
-        assert fractions["calendar_queue"] == pytest.approx(0.75)
+        assert fractions["fusion"] == pytest.approx(0.75)
         assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_phase_fractions_empty_is_all_zero(self):

@@ -1,0 +1,270 @@
+"""Simulator conformance: the live engine against frozen goldens.
+
+The engine fuses provably uncontended timed operations instead of
+queueing them. That is only admissible because it is unobservable: the
+goldens in ``tests/goldens/sim_conformance.json`` were written by the
+never-fusing heap engine, and every result field, recorder stream and
+timeline digest must still match them byte for byte, at two scales:
+
+* the four paper applications, across all three simulated systems, with
+  full profiling recorders attached;
+* the pinned 50-case fuzz corpus (:mod:`repro.verify.generate`) far
+  outside the paper's operating regime — torus NoCs, degenerate graphs,
+  randomized hardware parameters.
+
+The goldens must also *catch* fusion bugs: planted mutants of
+``Engine.can_advance`` have to be reported. Plus targeted regressions
+for the one interaction subtle enough to have produced a real
+divergence: batched ``Event.succeed`` dispatch hiding sibling callbacks
+from the event queue, which let a fused operation advance ``now``
+mid-batch and serialize flows that run concurrently without fusion.
+"""
+
+from __future__ import annotations
+
+import copy
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from repro.core.designer import DesignConfig, design_interconnect
+from repro.obs.profile.recorder import TimeseriesRecorder
+from repro.sim.engine import Engine
+from repro.sim.systems import simulate_baseline
+from repro.verify import conformance_sweep, diff_fingerprint, golden_conformance_check
+from repro.verify.conformance import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    SYSTEMS,
+    corpus_cases,
+    fingerprint_run,
+    load_goldens,
+    simulate_system,
+)
+
+GOLDENS_PATH = Path(__file__).parent / "goldens" / "sim_conformance.json"
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return load_goldens(GOLDENS_PATH)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return corpus_cases()
+
+
+def _failing_cases(cases, goldens):
+    failing = []
+
+    def on_case(case, found):
+        if found:
+            failing.append((case.label(), found[0]))
+
+    conformance_sweep(cases, goldens, on_case=on_case)
+    return failing
+
+
+class TestPaperApps:
+    """All four paper applications, all three systems, byte-identical."""
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_app_conformance(
+        self, system, fitted_apps, system_params, theta, goldens
+    ):
+        assert set(goldens["apps"]) == set(fitted_apps)
+        for name, fitted in fitted_apps.items():
+            config = DesignConfig(
+                theta_s_per_byte=theta,
+                stream_overhead_s=fitted.stream_overhead_s,
+            )
+            plan = design_interconnect(name, fitted.graph, config)
+            recorder = TimeseriesRecorder()
+            result = simulate_system(system, fitted.graph, plan,
+                                     system_params, recorder)
+            violations = diff_fingerprint(
+                f"{name}.{system}",
+                goldens["apps"][name][system],
+                fingerprint_run(result, recorder),
+            )
+            assert violations == [], "\n".join(str(v) for v in violations)
+
+    def test_engine_is_deterministic(self, fitted_apps, system_params):
+        # Two runs of the same input are byte-identical: fusion
+        # introduces no run-to-run state.
+        fitted = fitted_apps["fluid"]
+        a = simulate_baseline(fitted.graph, 0.0, system_params)
+        b = simulate_baseline(fitted.graph, 0.0, system_params)
+        assert repr(asdict(a)) == repr(asdict(b))
+
+
+class TestFuzzCorpus:
+    """Fixed-seed corpus: 50 generated cases, zero tolerated violations."""
+
+    def test_goldens_cover_the_pinned_corpus(self, goldens, corpus):
+        assert goldens["corpus_seed"] == CORPUS_SEED
+        assert goldens["corpus_size"] == CORPUS_SIZE == len(corpus)
+        assert set(goldens["corpus"]) == {case.label() for case in corpus}
+
+    def test_corpus_conformance(self, goldens, corpus):
+        failures = _failing_cases(corpus, goldens)
+        assert failures == [], (
+            f"{len(failures)} non-conforming case(s); first: "
+            f"{failures[0][0]}: {failures[0][1]}"
+        )
+
+    def test_single_case_check_reports_counterexamples(self, goldens, corpus):
+        # A case runs clean, and a golden differing in one field yields
+        # one violation naming that field with both values in full.
+        case = corpus[0]
+        golden = goldens["corpus"][case.label()]
+        assert golden_conformance_check(case, golden) == []
+        tampered = copy.deepcopy(golden)
+        tampered["proposed"]["times"]["kernels_s"] = "1.0"
+        found = golden_conformance_check(case, tampered)
+        assert [v.subject for v in found] == [
+            f"{case.label()}.proposed.kernels_s"
+        ]
+        assert found[0].check == "sim_results"
+        assert "golden 1.0 != live " in found[0].message
+
+
+def _can_advance_ignoring_batch(self, delay):
+    # Mutant (a): forgets the pending-sibling veto.
+    target = self.now + delay
+    if self._until is not None and target > self._until:
+        return False
+    return not self._queue or self._queue[0][0] > target
+
+
+def _can_advance_non_strict(self, delay):
+    # Mutant (b): lets an event due exactly at now + delay run after
+    # the fused continuation instead of before it.
+    if self._batch_remaining:
+        return False
+    target = self.now + delay
+    if self._until is not None and target > self._until:
+        return False
+    return not self._queue or self._queue[0][0] >= target
+
+
+class TestGoldensCatchFusionBugs:
+    """Planted ``can_advance`` bugs must be reported by the corpus."""
+
+    @pytest.mark.parametrize(
+        "mutant", [_can_advance_ignoring_batch, _can_advance_non_strict],
+        ids=["ignores_batch_remaining", "non_strict_peek"],
+    )
+    def test_mutant_is_reported(self, mutant, goldens, corpus, monkeypatch):
+        monkeypatch.setattr(Engine, "can_advance", mutant)
+        failures = _failing_cases(corpus, goldens)
+        # Each mutant diverges on most of the corpus; a handful of
+        # failing cases would mean the goldens lost their teeth.
+        assert len(failures) >= CORPUS_SIZE // 2, failures
+
+
+class TestBatchedDispatchFusion:
+    """Regressions for Event.succeed's batched dispatch.
+
+    Multiple callbacks on one event are dispatched by a single queued
+    closure. Mid-batch, pending sibling callbacks are due *now* but
+    invisible to the queue — fusion must refuse exactly as a queued
+    same-time thunk (``peek == now``) would make it.
+    """
+
+    def test_fusion_vetoed_while_siblings_pending(self):
+        eng = Engine()
+        ev = eng.event()
+        observed = []
+
+        def waiter(tag):
+            def cb(_event):
+                # can_advance must be False for every callback except
+                # the last: siblings still inside the dispatch closure
+                # correspond to same-time queued thunks.
+                observed.append((tag, eng.can_advance(1.0)))
+            return cb
+
+        for tag in ("a", "b", "c"):
+            ev.callbacks.append(waiter(tag))
+        ev.succeed()
+        eng.run()
+        assert observed == [("a", False), ("b", False), ("c", True)]
+
+    def test_callback_order_preserved(self):
+        eng = Engine()
+        ev = eng.event()
+        order = []
+        for tag in range(5):
+            ev.callbacks.append(lambda _e, t=tag: order.append(t))
+        ev.succeed()
+        eng.run()
+        assert order == [0, 1, 2, 3, 4]
+
+    def test_wide_fanin_schedules_one_closure(self):
+        # One thunk per callback would bloat the queue under wide AllOf
+        # fan-in; the whole batch is one queued dispatch closure.
+        eng = Engine()
+        ev = eng.event()
+        fired = []
+        for i in range(50):
+            ev.callbacks.append(lambda _e, i=i: fired.append(i))
+        ev.succeed()
+        assert len(eng._queue) == 1
+        eng.run()
+        assert fired == list(range(50))
+
+    def test_batch_guard_clears_after_dispatch(self):
+        eng = Engine()
+        ev = eng.event()
+        ev.callbacks.append(lambda _e: None)
+        ev.succeed()
+        eng.run()
+        assert eng._batch_remaining == 0
+        # Fusion works again once the batch is fully dispatched.
+        assert eng.try_advance(1.0)
+        assert eng.now == 1.0
+
+
+class TestFusionGuards:
+    """The strict-peek and horizon rules of ``can_advance``."""
+
+    def test_event_at_landing_time_vetoes_fusion(self):
+        eng = Engine()
+        eng.schedule(1.0, lambda: None)
+        assert not eng.can_advance(1.0)
+        assert eng.can_advance(0.5)
+
+    def test_fusion_respects_until_horizon(self):
+        eng = Engine()
+        observed = []
+
+        def proc():
+            observed.append((eng.can_advance(2.0), eng.can_advance(1.0)))
+            yield 0.0
+
+        eng.process(proc())
+        eng.run(until=1.0)
+        assert observed == [(False, True)]
+        assert eng.can_advance(2.0)  # horizon cleared after run
+
+    def test_negative_delay_rejected(self):
+        from repro.errors import SimulationError
+
+        with pytest.raises(SimulationError):
+            Engine().try_advance(-1.0)
+
+
+class TestEquivalenceContractScope:
+    """Engine-implementation counters stay outside the contract."""
+
+    def test_fused_operations_skip_the_queue(self):
+        # The optimization is visible only on the engine object: a
+        # fused operation bumps fused_events, never events_processed.
+        eng = Engine()
+        assert eng.try_advance(1.0)
+        assert eng.fused_events == 1
+        assert eng.events_processed == 0
+        assert eng.now == 1.0
