@@ -310,10 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-tenant sustained requests/second")
     p.add_argument("--quota-burst", type=float, default=100.0,
                    help="per-tenant burst capacity (token bucket size)")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="micro-batching window in milliseconds")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="flush a batch at this many queued requests")
     p.add_argument("--max-sweep-points", type=int, default=4096,
                    help="largest accepted sweep grid (413 beyond)")
     p.add_argument("--drain-timeout", type=float, default=10.0,
@@ -920,8 +916,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
-        batch_window_s=args.batch_window_ms / 1e3,
-        batch_max=args.batch_max,
         max_sweep_points=args.max_sweep_points,
         drain_timeout_s=args.drain_timeout,
         event_log_path=args.event_log,

@@ -5,7 +5,7 @@ why the dump happened (``reason``), every thread's Python stack at dump
 time (``sys._current_frames()`` — no signals, works from any thread),
 the flight recorder's three rings (recent spans / events / metrics
 snapshots), the watchdog's view, and a free-form ``state`` section the
-server fills with admission/batcher/pool counters.
+server fills with admission/executor/pool counters.
 
 The document carries ``kind``/``version`` like every other artifact in
 the repo (:data:`FLIGHT_KIND`, :data:`~repro.io.FORMAT_VERSION`), so

@@ -10,10 +10,10 @@ progress" into a detectable, reportable *edge*:
   event-loop beat task uses this — a blocked loop cannot beat, which is
   exactly the point.
 * **Probes** are pulled liveness: a callable returning ``None``
-  (healthy) or a human-readable stall description. The micro-batcher
-  exposes its oldest-pending / longest-flush ages this way, covering
-  both a wedged batcher and a hung worker pool (a stuck
-  ``submit_many`` keeps its flush in flight forever).
+  (healthy) or a human-readable stall description. The server's
+  ``executor`` probe reports the age of its oldest in-flight executor
+  call this way, which covers a hung worker pool (a stuck
+  ``submit_many`` keeps its call in flight forever).
 
 Trip/clear are edge-triggered per source: one ``watchdog_trip`` event
 and one ``on_trip`` callback when a source enters the stalled state,

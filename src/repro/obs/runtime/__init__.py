@@ -3,13 +3,13 @@
 ``repro.obs`` (PR 2) and ``repro.obs.profile`` (PR 4) observe the
 *designs*: spans around Algorithm 1, provenance of every decision,
 time-resolved lane utilization. This subpackage observes the *system
-that serves them* — the admission/quota/batcher/worker ring added in
+that serves them* — the admission/quota/executor/worker ring added in
 PR 6 — and the performance trajectory recorded by ``repro bench``:
 
 ``tracecontext``
     W3C-style ``traceparent`` propagation so a single request is one
-    connected trace across client, server, batcher, and worker
-    processes.
+    connected trace across client, server, executor thread, and
+    worker processes.
 ``events``
     A structured, typed JSONL event log (ring buffer + optional file
     sink) with a zero-cost ``NULL_LOG`` null object, mirroring

@@ -75,11 +75,10 @@ def render_top(
         f"ewma {_num(admission, 'latency_ewma_s') * 1e3:.1f}ms"
     )
 
-    batcher = _section(debug.get("batcher"))
+    executor = _section(debug.get("executor"))
     lines.append(
-        f"  batcher: {_num(batcher, 'pending'):.0f} pending, "
-        f"window {_num(batcher, 'window_s') * 1e3:.1f}ms, "
-        f"max batch {_num(batcher, 'max_batch'):.0f}"
+        f"  executor: {_num(executor, 'inflight'):.0f} in flight, "
+        f"oldest {_num(executor, 'oldest_age_s') * 1e3:.1f}ms"
     )
 
     cache = _section(debug.get("cache"))

@@ -66,15 +66,14 @@ MAX_TENANT_CHARS = 64
 #: extending this set (and the DESIGN.md §13 table) in the same PR.
 EVENT_KINDS = frozenset({
     "request_start",      # request admitted past parsing; fields: route
-    "request_finish",     # response written; fields: route, status, duration_ms
+    "request_finish",     # response written; fields: route, status, duration_ms[, error]
     "admission_reject",   # 429 from the inflight/queue bound; fields: route, retry_after_s
     "quota_reject",       # 429 from the tenant token bucket; fields: route, retry_after_s
-    "batch_flush",        # micro-batch handed to submit_many; fields: size, reason
     "cache_hit",          # fingerprint served from ResultCache; fields: app, fingerprint
     "cache_miss",         # fingerprint scheduled for execution; fields: app, fingerprint
     "pool_recycle",       # worker pool torn down and rebuilt; fields: reason
     "drain_begin",        # SIGTERM/stop received, readiness dropped
-    "drain_idle",         # in-flight requests and batcher drained
+    "drain_idle",         # in-flight requests drained
     "drain_done",         # worker pool reaped; fields: clean
     "watchdog_trip",      # a liveness source stalled; fields: source, detail
     "watchdog_clear",     # a stalled source recovered; fields: source

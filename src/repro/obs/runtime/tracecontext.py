@@ -7,11 +7,12 @@ A request's identity on the wire is a ``traceparent`` header::
 (`W3C Trace Context <https://www.w3.org/TR/trace-context/>`_, level 1).
 ``DesignClient`` mints a fresh context per request; ``DesignServer``
 parses it (or mints its own for clients that send none) and threads the
-``trace_id`` through admission → quota → batcher → ``submit_many`` →
-``run_job_instrumented``, so the spans each process records can be
-merged into one connected per-request trace, and every event in the
-runtime :class:`~repro.obs.runtime.events.EventLog` can be joined back
-to the request that caused it.
+``trace_id`` through admission → quota → cache lookup (a hit ends
+there) → ``submit_many`` → ``run_job_instrumented``, so the spans each
+process records can be merged into one connected per-request trace,
+and every event in the runtime
+:class:`~repro.obs.runtime.events.EventLog` can be joined back to the
+request that caused it.
 
 Parsing is deliberately forgiving: a malformed header yields ``None``
 and the server simply starts a new trace — an instrumentation bug must

@@ -2,17 +2,18 @@
 
 A dependency-free asyncio HTTP layer over
 :class:`repro.service.DesignService`: JSON design/sweep endpoints, an
-SSE streaming sweep, request micro-batching into ``submit_many``,
-admission control with backpressure (429 + ``Retry-After``), per-tenant
-token-bucket quotas, Prometheus metrics, per-request trace spans, and
+SSE streaming sweep, cache hits answered on the event loop (misses go
+straight to ``submit_many`` on an executor thread), admission control
+with backpressure (429 + ``Retry-After``), per-tenant token-bucket
+quotas, Prometheus metrics, per-request trace spans, and
 graceful drain on SIGTERM. Served results are byte-identical to the
 in-process pipeline because both sides serialize the same
 ``result_summary`` dict through ``canonical_json``.
 
 Layering (each module only imports downward):
 
-``runtime`` → ``app`` → {``admission``, ``quota``, ``batcher``,
-``protocol``, ``http``} → ``repro.service``. The blocking ``client``
+``runtime`` → ``app`` → {``admission``, ``quota``, ``protocol``,
+``http``} → ``repro.service``. The blocking ``client``
 and the ``loadtest`` harness sit beside the server and speak only the
 wire protocol.
 """
@@ -26,7 +27,6 @@ from ..obs.runtime.tracecontext import (
 )
 from .admission import AdmissionController
 from .app import DesignServer, ServerConfig
-from .batcher import RequestBatcher
 from .client import DesignClient
 from .loadtest import LoadtestConfig, merge_into_bench, run_loadtest
 from .quota import QuotaManager, sanitize_tenant
@@ -40,7 +40,6 @@ __all__ = [
     "LoadtestConfig",
     "NULL_LOG",
     "QuotaManager",
-    "RequestBatcher",
     "ServerConfig",
     "ServerHandle",
     "TraceContext",

@@ -1,7 +1,7 @@
 """Admission control: a bounded house for in-flight design work.
 
 The design pipeline is CPU-bound, so accepting every connection and
-letting requests pile up in the batcher would just trade an honest 429
+letting requests pile up on the executor would just trade an honest 429
 for unbounded latency. The controller admits up to ``max_inflight``
 executing requests plus ``max_queue`` waiting ones; past that, requests
 are rejected immediately with a ``Retry-After`` estimate derived from an

@@ -5,10 +5,15 @@ Request path for design work (the order is the architecture):
 ```
 accept → parse → admission (bounded queue, 429 + Retry-After)
                → quota     (per-tenant token bucket, 429 + Retry-After)
-               → batcher   (micro-batch into DesignService.submit_many)
-               → service   (cache / coalesce / execute)
+               → lookup    (memory-tier cache hit, answered on the loop)
+               → executor  (miss: DesignService.submit_many on a thread —
+                            disk tier / coalesce in flight / compute)
                → respond   (canonical JSON, byte-identical to in-process)
 ```
+
+There is no batching window: a miss goes straight to the default
+thread-pool executor, and concurrent duplicates fold into one
+computation through the service's in-flight fingerprint table.
 
 Routes:
 
@@ -17,7 +22,8 @@ Routes:
 * ``POST /v1/sweep?stream=1`` (or ``/v1/sweep/stream``) — SSE: one
   ``point`` event per completed grid point, a final ``done`` event.
 * ``GET /v1/jobs/<fingerprint>`` — cache lookup by job fingerprint
-  (side-effect-free: uses :meth:`ResultCache.peek`).
+  (side-effect-free: uses :meth:`ResultCache.peek`; the memory tier
+  on the loop, the disk tier on the executor).
 * ``GET /healthz`` — liveness (always 200 while the process runs).
 * ``GET /readyz`` — readiness (503 once draining).
 * ``GET /metrics`` — Prometheus text exposition: the server's own
@@ -31,10 +37,12 @@ pipeline stages it triggered.
 from __future__ import annotations
 
 import asyncio
+import math
 import pathlib
 import time
+import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import (
     ConfigurationError,
@@ -57,12 +65,11 @@ from ..obs.runtime.tracecontext import (
     parse_traceparent,
 )
 from ..obs.trace import Tracer, active
-from ..service.api import DesignService
-from ..service.jobs import job_for_point
+from ..service.api import DesignService, JobResult
+from ..service.jobs import DesignJob, job_for_point
 from ..service.metrics import MetricsRegistry
 from . import protocol
 from .admission import AdmissionController
-from .batcher import RequestBatcher
 from .http import HttpRequest, HttpResponse, SseStream, read_request, response_bytes
 from .quota import QuotaManager, sanitize_tenant
 
@@ -80,12 +87,10 @@ class ServerConfig:
     #: Admission bounds: executing + queued requests.
     max_inflight: int = 8
     max_queue: int = 32
-    #: Per-tenant token bucket (tokens/second, bucket capacity).
+    #: Per-tenant token bucket (tokens/second, bucket capacity);
+    #: ``quota_rate=0`` makes the burst a fixed budget.
     quota_rate: float = 50.0
     quota_burst: float = 100.0
-    #: Micro-batching window and size cap.
-    batch_window_s: float = 0.002
-    batch_max: int = 16
     #: Request-body and sweep-size ceilings.
     max_body_bytes: int = 1 << 20
     max_sweep_points: int = 4096
@@ -107,25 +112,25 @@ class ServerConfig:
     flight_snapshots: int = 32
     flight_snapshot_interval_s: float = 5.0
     #: Stall watchdog: check cadence, the event loop's heartbeat budget,
-    #: and how old a pending batch / in-flight flush may grow before the
-    #: batcher (or the worker pool behind it) is declared wedged.
+    #: and how long one executor call may run before the worker pool
+    #: behind it is declared wedged.
     #: ``watchdog_enabled=False`` skips the thread entirely (tests).
     watchdog_enabled: bool = True
     watchdog_interval_s: float = 0.25
     watchdog_loop_lag_s: float = 2.0
-    watchdog_batch_stall_s: float = 30.0
+    watchdog_job_stall_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.batch_window_s < 0:
+        if self.quota_rate < 0:
             raise ConfigurationError(
-                f"batch_window_s must be >= 0, got {self.batch_window_s}"
+                f"quota_rate must be >= 0, got {self.quota_rate}"
             )
         if self.event_log_max_mb < 0:
             raise ConfigurationError(
                 f"event_log_max_mb must be >= 0, got {self.event_log_max_mb}"
             )
         if self.watchdog_interval_s <= 0 or self.watchdog_loop_lag_s <= 0 \
-                or self.watchdog_batch_stall_s <= 0:
+                or self.watchdog_job_stall_s <= 0:
             raise ConfigurationError(
                 "watchdog intervals/budgets must be > 0"
             )
@@ -177,13 +182,6 @@ class DesignServer:
         self.admission = AdmissionController(
             max_inflight=config.max_inflight, max_queue=config.max_queue
         )
-        self.batcher = RequestBatcher(
-            service,
-            window_s=config.batch_window_s,
-            max_batch=config.batch_max,
-            registry=self.registry,
-            events=self.events,
-        )
         self.flight = FlightRecorder(
             tracer=self.tracer,
             events=self.events,
@@ -200,10 +198,12 @@ class DesignServer:
         self._loop_heartbeat = self.watchdog.heartbeat(
             "event_loop", config.watchdog_loop_lag_s
         )
-        self.watchdog.probe(
-            "batcher",
-            self.batcher.stall_probe(config.watchdog_batch_stall_s),
-        )
+        # Start times of this server's executor calls in flight, by call
+        # id. Written on the event loop, read by the watchdog thread and
+        # flight dumps — tearing-free under the GIL.
+        self._executor_calls: Dict[int, float] = {}
+        self._next_call_id = 0
+        self.watchdog.probe("executor", self._executor_probe)
         self._beat_task: Optional["asyncio.Task[None]"] = None
         #: ``"source: detail"`` while the watchdog says we are stalled;
         #: surfaced as a 503 on /readyz. Written from the watchdog
@@ -281,10 +281,8 @@ class DesignServer:
                 clean = False
                 break
             await asyncio.sleep(0.01)
-        if clean:
-            await self.batcher.wait_idle()
-            if self.events.enabled:
-                self.events.emit("drain_idle")
+        if clean and self.events.enabled:
+            self.events.emit("drain_idle")
         if self.events.enabled:
             self.events.emit("drain_done", clean=clean)
         self.events.close()
@@ -303,8 +301,26 @@ class DesignServer:
         if not self.watchdog.tripped:
             self._stalled = None
 
+    def _executor_state(self) -> Dict[str, Any]:
+        """The in-flight executor calls: count and the oldest one's age."""
+        starts = list(self._executor_calls.values())
+        oldest = time.monotonic() - min(starts) if starts else 0.0
+        return {"inflight": len(starts), "oldest_age_s": round(oldest, 6)}
+
+    def _executor_probe(self) -> Optional[str]:
+        """Watchdog probe: an executor call past its budget means a stuck
+        ``submit_many`` — which is what a hung worker pool looks like."""
+        age = self._executor_state()["oldest_age_s"]
+        budget = self.config.watchdog_job_stall_s
+        if age > budget:
+            return (
+                f"executor call out for {age:.2f}s (budget {budget:.2f}s)"
+                " — worker pool may be hung"
+            )
+        return None
+
     def _flight_state(self) -> Dict[str, Any]:
-        """Admission/batcher/pool counters for the dump's ``state``.
+        """Admission/executor/pool counters for the dump's ``state``.
 
         Read lock-free from whatever thread triggers the dump — every
         field is an atomic attribute read, and a post-mortem prefers a
@@ -317,16 +333,7 @@ class DesignServer:
                 "rejected": self.admission.rejected,
                 "draining": self.admission.draining,
             },
-            "batcher": {
-                "pending": self.batcher.pending,
-                "inflight_flushes": self.batcher.inflight_flushes,
-                "oldest_pending_age_s": round(
-                    self.batcher.oldest_pending_age_s(), 3
-                ),
-                "longest_flush_age_s": round(
-                    self.batcher.longest_flush_age_s(), 3
-                ),
-            },
+            "executor": self._executor_state(),
             "service": {
                 "execution_mode": self.service.execution_mode,
                 "jobs_submitted": self.service.metrics.counter(
@@ -409,6 +416,9 @@ class DesignServer:
                              tenant=tenant, route=route)
         start = time.perf_counter()
         status = 500
+        # An unexpected exception's type, message and innermost frame,
+        # recorded on the request's request_finish event.
+        error: Dict[str, str] = {}
         try:
             with self.tracer.span(
                 "http_request", category="server",
@@ -435,6 +445,20 @@ class DesignServer:
             await self._write(
                 writer, self._json_error(400, str(exc), ctx=ctx)
             )
+        except ConnectionError:
+            raise
+        except Exception as exc:
+            status = 500
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            error["error"] = (
+                f"{type(exc).__name__}: {exc} at "
+                f"{pathlib.Path(frame.filename).name}:{frame.lineno} "
+                f"in {frame.name}"
+            )
+            await self._write(writer, self._json_error(
+                500, f"internal server error ({type(exc).__name__})",
+                ctx=ctx,
+            ))
         finally:
             duration = time.perf_counter() - start
             self._active.pop(request_id, None)
@@ -452,7 +476,7 @@ class DesignServer:
                 self.events.emit(
                     "request_finish", trace_id=ctx.trace_id, tenant=tenant,
                     route=route, status=status,
-                    duration_ms=round(duration * 1e3, 3),
+                    duration_ms=round(duration * 1e3, 3), **error,
                 )
 
     async def _write(
@@ -497,7 +521,7 @@ class DesignServer:
         if path == "/v1/debug" and method == "GET":
             return self._debug_endpoint(ctx)
         if path.startswith("/v1/jobs/") and method == "GET":
-            return self._job_lookup(path[len("/v1/jobs/"):], ctx)
+            return await self._job_lookup(path[len("/v1/jobs/"):], ctx)
         if path == "/v1/design" and method == "POST":
             return await self._design(request, tenant, ctx)
         if path in ("/v1/sweep", "/v1/sweep/stream") and method == "POST":
@@ -543,7 +567,11 @@ class DesignServer:
             self.registry.incr(
                 "quota_rejections", labels={"tenant": tenant}
             )
-            retry = float(max(1, int(quota_retry) + 1))
+            # A zero-rate bucket never refills: no Retry-After to offer.
+            retry = (
+                float(max(1, int(quota_retry) + 1))
+                if math.isfinite(quota_retry) else None
+            )
             if self.events.enabled:
                 self.events.emit(
                     "quota_reject", trace_id=ctx.trace_id,
@@ -554,6 +582,35 @@ class DesignServer:
                 ctx=ctx,
             )
         return None
+
+    # -- submission ---------------------------------------------------------
+    async def _in_executor(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn()`` on the default executor, tracked for the
+        watchdog, ``/v1/debug`` and flight dumps."""
+        call_id = self._next_call_id
+        self._next_call_id += 1
+        self._executor_calls[call_id] = time.monotonic()
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, fn
+            )
+        finally:
+            del self._executor_calls[call_id]
+
+    async def _submit(self, job: DesignJob, trace_id: str) -> JobResult:
+        """A memory-tier hit on the loop, else ``submit_many`` on a thread.
+
+        ``trace_id`` rides next to the job into the worker spans (never
+        on the job — fingerprints are cache keys and must not depend on
+        the requester).
+        """
+        hit = self.service.lookup(job, trace_id=trace_id)
+        if hit is not None:
+            return hit
+        results = await self._in_executor(
+            lambda: self.service.submit_many([job], trace_ids=[trace_id])
+        )
+        return results[0]
 
     # -- handlers -----------------------------------------------------------
     async def _design(
@@ -567,7 +624,7 @@ class DesignServer:
             job = protocol.parse_design_request(
                 protocol.decode_body(request.body)
             )
-            result = await self.batcher.submit(job, trace_id=ctx.trace_id)
+            result = await self._submit(job, ctx.trace_id)
             return self._json(
                 200, protocol.design_response(result, trace_id=ctx.trace_id)
             )
@@ -601,10 +658,9 @@ class DesignServer:
                 for coord in grid.points()
             ]
             if not stream:
-                loop = asyncio.get_running_loop()
                 trace_ids = [ctx.trace_id] * len(specs)
-                results = await loop.run_in_executor(
-                    None, lambda: self.service.submit_many(
+                results = await self._in_executor(
+                    lambda: self.service.submit_many(
                         specs, trace_ids=trace_ids
                     )
                 )
@@ -617,9 +673,7 @@ class DesignServer:
             sse = SseStream(writer)
             await sse.start()
             for spec in specs:
-                result = await self.batcher.submit(
-                    spec, trace_id=ctx.trace_id
-                )
+                result = await self._submit(spec, ctx.trace_id)
                 record = protocol.point_record(grid, result)
                 # Echo the request's trace id on every point event so a
                 # client can join a partially consumed stream against
@@ -642,10 +696,15 @@ class DesignServer:
         finally:
             self.admission.release(time.perf_counter() - start)
 
-    def _job_lookup(
+    async def _job_lookup(
         self, fingerprint: str, ctx: TraceContext
     ) -> HttpResponse:
-        summary = self.service.cache.peek(fingerprint)
+        cache = self.service.cache
+        summary = cache.peek(fingerprint, disk=False)
+        if summary is None and cache.cache_dir is not None:
+            summary = await self._in_executor(
+                lambda: cache.peek(fingerprint)
+            )
         if summary is None:
             return self._json_error(
                 404, f"no cached result for fingerprint {fingerprint!r}",
@@ -659,7 +718,7 @@ class DesignServer:
 
     def _metrics_response(self) -> HttpResponse:
         # Two registries, one exposition: server-side series (http_*,
-        # quota_*, admission, batching) plus the wrapped service's
+        # quota_*, admission) plus the wrapped service's
         # (jobs_*, cache) — names are disjoint by construction.
         #
         # Each registry's state is captured by dump() (one lock
@@ -716,7 +775,7 @@ class DesignServer:
         """``GET /v1/debug``: one consistent view of the live server.
 
         Assembled on the event-loop thread, so the admission counters,
-        in-flight table, and batcher state are one coherent instant.
+        in-flight table, and executor table are one coherent instant.
         """
         now = time.monotonic()
         inflight_rows = sorted(
@@ -746,12 +805,7 @@ class DesignServer:
                 "draining": self.admission.draining,
                 "latency_ewma_s": self.admission.latency_ewma_s,
             },
-            "batcher": {
-                "pending": self.batcher.pending,
-                "inflight_flushes": self.batcher.inflight_flushes,
-                "window_s": self.batcher.window_s,
-                "max_batch": self.batcher.max_batch,
-            },
+            "executor": self._executor_state(),
             "tenants": {
                 tenant: {
                     "remaining": round(self.quotas.remaining(tenant), 3),

@@ -5,7 +5,8 @@ issuing design requests round-robin over the paper's four applications,
 and reports served latency percentiles plus error rates. The measured
 phase runs against a *warm* cache (a warm-up pass primes every distinct
 fingerprint first), so the numbers characterise the serving stack —
-HTTP parse, admission, quota, batching, cache hit — rather than the
+HTTP parse, admission, quota, and a cache hit answered on the event
+loop — rather than the
 design pipeline the in-process benchmarks already cover.
 
 The report is a versioned ``loadtest-report`` document;

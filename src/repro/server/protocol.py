@@ -192,7 +192,7 @@ def debug_response(
 
     ``debug`` is the live-state document assembled by
     :meth:`repro.server.app.DesignServer` — in-flight requests (with
-    age and trace id), admission/queue depths, batcher window state,
+    age and trace id), admission/queue depths, in-flight executor calls,
     per-tenant bucket levels, cache/coalescing counters, pool health,
     and the tail of the runtime event log. The server builds it on its
     own event loop thread, so the view is internally consistent.

@@ -4,9 +4,11 @@
 experiment flow. Callers describe work as immutable
 :class:`~repro.service.jobs.DesignJob` specs; the service
 
-* answers repeated jobs from the two-tier result cache,
-* coalesces duplicate jobs inside one ``submit_many`` batch so each
-  distinct fingerprint is computed exactly once,
+* answers repeated jobs from the two-tier result cache (``lookup``
+  answers from the memory tier alone, for callers on an event loop),
+* coalesces duplicate jobs — inside one ``submit_many`` batch and
+  across concurrently submitting threads — so each distinct
+  fingerprint is computed exactly once,
 * fans the remaining distinct jobs out over the parallel
   :class:`~repro.service.executor.JobRunner`,
 * and keeps counters/latency metrics for ``stats()``.
@@ -167,6 +169,37 @@ class DesignService:
         """Execute (or serve from cache) one job."""
         return self.submit_many([job])[0]
 
+    def lookup(
+        self, job: DesignJob, trace_id: str = ""
+    ) -> Optional[JobResult]:
+        """Answer ``job`` from the cache's memory tier; ``None`` on a miss.
+
+        No disk read, no executor, no service lock — cheap enough for
+        the server's event loop. A hit is accounted like a hit inside
+        :meth:`submit_many` (``jobs_submitted``, the ``cache_hit``
+        instant and event); a miss counts nothing, because the caller
+        then submits the job and :meth:`submit_many` counts it.
+        """
+        if self._closed:
+            raise ServiceError("design service is closed")
+        fp = job.fingerprint()
+        with self.tracer.span("cache_lookup", category="service", app=job.app):
+            summary = self.cache.get_memory(fp)
+        if summary is None:
+            return None
+        self.metrics.incr("jobs_submitted")
+        self._record_hit(job, fp, trace_id)
+        return JobResult(job=job, fingerprint=fp, summary=summary, cached=True)
+
+    def _record_hit(self, job: DesignJob, fp: str, trace_id: str) -> None:
+        self.tracer.instant(
+            "cache_hit", category="service", app=job.app, fingerprint=fp,
+        )
+        if self.events.enabled:
+            self.events.emit(
+                "cache_hit", trace_id=trace_id, app=job.app, fingerprint=fp,
+            )
+
     def submit_many(
         self,
         jobs: Sequence[DesignJob],
@@ -214,15 +247,7 @@ class DesignService:
                 first_seen[fp] = i
                 cached = self.cache.get(fp)
                 if cached is not None:
-                    self.tracer.instant(
-                        "cache_hit", category="service",
-                        app=job.app, fingerprint=fp,
-                    )
-                    if self.events.enabled:
-                        self.events.emit(
-                            "cache_hit", trace_id=tids[i],
-                            app=job.app, fingerprint=fp,
-                        )
+                    self._record_hit(job, fp, tids[i])
                     results[i] = JobResult(
                         job=job, fingerprint=fp, summary=cached, cached=True
                     )

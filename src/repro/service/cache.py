@@ -10,6 +10,11 @@ treated as misses, counted as invalidations, and deleted.
 The cached value is the flat :func:`repro.flow.result_summary` dict: it
 round-trips through JSON bit-exactly (floats included), which is what
 lets a cache-served sweep produce byte-identical CSV to a fresh run.
+
+The tiers split by cost. :meth:`ResultCache.get_memory` and
+``peek(..., disk=False)`` touch only the memory tier, so the server
+calls them on its event loop; :meth:`ResultCache.get` and
+:meth:`ResultCache.peek` may read disk and run on executor threads.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class ResultCache:
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         # One lock covers both tiers *and* the stats counters, so
         # hit/miss/store accounting stays exact when many threads (the
-        # server's batcher plus streaming sweeps) use one cache.
+        # server's event loop and its executor threads) use one cache.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -121,13 +126,20 @@ class ResultCache:
                 pass
             return None
 
+    def _memory_hit(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """Memory-tier lookup under the held lock; counts only a hit."""
+        summary = self._memory.get(fingerprint)
+        if summary is not None:
+            self._memory.move_to_end(fingerprint)
+            self.stats.hits_memory += 1
+        return summary
+
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Look up a result summary; ``None`` on miss."""
         with self._lock:
-            if fingerprint in self._memory:
-                self._memory.move_to_end(fingerprint)
-                self.stats.hits_memory += 1
-                return self._memory[fingerprint]
+            summary = self._memory_hit(fingerprint)
+            if summary is not None:
+                return summary
             summary = self._load_disk(fingerprint)
             if summary is not None:
                 self.stats.hits_disk += 1
@@ -136,17 +148,32 @@ class ResultCache:
             self.stats.misses += 1
             return None
 
-    def peek(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+    def get_memory(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        """:meth:`get` restricted to the memory tier.
+
+        It never reads disk, so an event loop may call it. A hit counts
+        as ``hits_memory`` and touches the LRU; a miss counts nothing,
+        because the caller falls back to :meth:`get`, which counts it.
+        """
+        with self._lock:
+            return self._memory_hit(fingerprint)
+
+    def peek(
+        self, fingerprint: str, disk: bool = True
+    ) -> Optional[Dict[str, Any]]:
         """Side-effect-free lookup: no stats, no LRU touch.
 
         The server's ``GET /v1/jobs/<fingerprint>`` endpoint uses this
         so read-only job polling cannot perturb the hit/miss accounting
-        the concurrency tests (and capacity planning) rely on.
+        the concurrency tests (and capacity planning) rely on. With
+        ``disk=False`` only the memory tier is consulted — the server
+        does that on its event loop and leaves the disk read to an
+        executor thread.
         """
         with self._lock:
             if fingerprint in self._memory:
                 return self._memory[fingerprint]
-        if self.cache_dir is None:
+        if not disk or self.cache_dir is None:
             return None
         path = self._disk_path(fingerprint)
         if not path.exists():

@@ -216,6 +216,11 @@ class JobRunner:
         # worker processes under repeated open/close); close() reaps it.
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
+        # In-process execution runs one job at a time: concurrent callers
+        # (the server's executor threads) queue here rather than
+        # interleave CPU-bound designs under the GIL, which stretches
+        # every one of them and starves the server's event loop.
+        self._serial_lock = threading.Lock()
         self._closed = False
 
     @property
@@ -247,10 +252,11 @@ class JobRunner:
         pool = self._acquire_pool()
         if pool is None:
             self.last_mode = "serial"
-            return [
-                self._run_serial(job, trace_id)
-                for job, trace_id in zip(jobs, ids)
-            ]
+            outcomes = []
+            for job, trace_id in zip(jobs, ids):
+                with self._serial_lock:
+                    outcomes.append(self._run_serial(job, trace_id))
+            return outcomes
         self.last_mode = "parallel"
         return self._run_pool(pool, jobs, ids)
 

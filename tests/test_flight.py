@@ -517,7 +517,7 @@ class TestServerFlightEndToEnd:
         flight = client.debug()["debug"]["flight"]
         assert flight["recorder"]["spans"] > 0
         assert "event_loop" in flight["watchdog"]["checks"]
-        assert "batcher" in flight["watchdog"]["checks"]
+        assert "executor" in flight["watchdog"]["checks"]
         assert flight["watchdog"]["running"] is True
         assert flight["stalled"] is None
 

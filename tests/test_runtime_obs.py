@@ -109,7 +109,7 @@ class TestEventLog:
     def test_tail(self):
         log = EventLog(capacity=16)
         for i in range(5):
-            log.emit("batch_flush", size=i)
+            log.emit("cache_miss", size=i)
         assert [e.fields["size"] for e in log.tail(2)] == [3, 4]
 
     def test_tenant_is_sanitized(self):
@@ -244,8 +244,7 @@ class TestRenderTop:
                 "capacity": 40, "rejected": 3, "draining": False,
                 "latency_ewma_s": 0.004,
             },
-            "batcher": {"pending": 1, "inflight_flushes": 1,
-                        "window_s": 0.002, "max_batch": 16},
+            "executor": {"inflight": 1, "oldest_age_s": 0.012},
             "tenants": {"team-a": {"remaining": 20.0, "burst": 100.0,
                                    "rate": 50.0}},
             "cache": {"hits": 5, "misses": 4},
@@ -269,6 +268,7 @@ class TestRenderTop:
         assert "/v1/design" in screen
         assert "team-a" in screen
         assert "request_start" in screen
+        assert "executor: 1 in flight, oldest 12.0ms" in screen
 
     def test_accepts_bare_debug_body(self):
         screen = render_top(self.DOC["debug"])

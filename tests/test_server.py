@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 
 import pytest
 
@@ -479,12 +481,13 @@ class TestRequestTelemetry:
         assert doc["trace_id"] == client.last_trace_id
         debug = doc["debug"]
         for section in ("uptime_s", "inflight_requests", "admission",
-                        "batcher", "tenants", "cache", "service",
+                        "executor", "tenants", "cache", "service",
                         "events"):
             assert section in debug, section
         assert debug["uptime_s"] > 0
         assert debug["admission"]["max_inflight"] == 16
-        assert debug["batcher"]["max_batch"] >= 1
+        # the debug request runs no executor call of its own
+        assert debug["executor"] == {"inflight": 0, "oldest_age_s": 0.0}
         assert debug["service"]["last_mode"] in ("serial", "pool")
         # the debug request itself is in the in-flight table
         routes = [r["route"] for r in debug["inflight_requests"]]
@@ -702,3 +705,295 @@ class TestDrain:
         assert handle.stop() is True
         # the socket is gone afterwards
         assert not client.healthz()
+
+
+class TestZeroRateQuota:
+    def test_spent_fixed_budget_answers_429_without_retry_after(self):
+        """Regression: a zero-rate bucket reported ``math.inf`` seconds
+        to wait, and ``int(inf)`` dropped the connection."""
+        import http.client
+
+        config = ServerConfig(port=0, quota_rate=0, quota_burst=1.0)
+        with start_in_thread(config) as handle:
+            client = DesignClient(handle.url, tenant="fixed")
+            client.design("canny", simulate=False)
+            with pytest.raises(ServerError) as err:
+                client.design("canny", simulate=False)
+            assert err.value.status == 429
+            conn = http.client.HTTPConnection(
+                client_host(handle), client_port(handle), timeout=30
+            )
+            try:
+                conn.request("POST", "/v1/design", body=b'{"app": "canny"}',
+                             headers={"X-Tenant": "fixed"})
+                resp = conn.getresponse()
+                body = json.loads(resp.read())
+            finally:
+                conn.close()
+            assert resp.status == 429
+            assert resp.getheader("Retry-After") is None
+            assert "retry_after_s" not in body
+        assert handle.stop() is True
+
+    def test_negative_quota_rate_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ServerConfig(quota_rate=-1.0)
+
+
+def _eventually(check, timeout_s: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not check():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestUnexpectedError:
+    def test_handler_crash_answers_500_with_trace_id(self, monkeypatch):
+        """Regression: only ReproError subclasses were answered; anything
+        else dropped the connection."""
+        import http.client
+
+        from repro.server.app import DesignServer
+
+        async def crash(self, request, tenant, ctx):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(DesignServer, "_design", crash)
+        trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"
+        with start_in_thread(ServerConfig(port=0)) as handle:
+            conn = http.client.HTTPConnection(
+                client_host(handle), client_port(handle), timeout=30
+            )
+            try:
+                conn.request("POST", "/v1/design", body=b'{"app": "canny"}',
+                             headers={"X-Tenant": "pytest", "traceparent":
+                                      f"00-{trace_id}-00f067aa0ba902b7-01"})
+                resp = conn.getresponse()
+                body = json.loads(resp.read())
+            finally:
+                conn.close()
+            assert resp.status == 500
+            assert body["kind"] == "error-response"
+            assert body["trace_id"] == trace_id
+            server = handle.server
+
+            def finished():
+                return [
+                    e.fields for e in server.events.events()
+                    if e.kind == "request_finish" and e.trace_id == trace_id
+                ]
+
+            # the response is written before the request's books close
+            _eventually(finished)
+            (fields,) = finished()
+            assert fields["status"] == 500
+            assert fields["error"].startswith("RuntimeError: planted at ")
+            assert fields["error"].endswith(" in crash")
+            assert server.registry.counter("http_requests", labels={
+                "route": "/v1/design", "status": 500, "tenant": "pytest",
+            }) == 1
+            assert DesignClient(handle.url).healthz()
+        assert handle.stop() is True
+
+
+def _traced_server(**config):
+    """A server whose service records into the server's own tracer."""
+    from repro.obs.trace import Tracer
+    from repro.service import DesignService
+
+    tracer = Tracer()
+    service = DesignService(tracer=tracer, **config)
+    handle = start_in_thread(ServerConfig(port=0), service=service,
+                             tracer=tracer)
+    return handle, service, tracer
+
+
+class TestDirectSubmission:
+    """Hits are answered on the event loop; misses go straight to
+    ``submit_many`` on an executor thread, with no batching window."""
+
+    def test_warm_hits_never_reach_submit_many(self):
+        handle, service, tracer = _traced_server()
+        n = 5
+        try:
+            client = DesignClient(handle.url, tenant="pytest")
+            primed = client.design("canny", simulate=False)
+            mark = len(tracer.events)
+            before = service.cache.stats.as_dict()
+            docs = [client.design("canny", simulate=False) for _ in range(n)]
+            after = service.cache.stats.as_dict()
+            spans = tracer.events[mark:]
+        finally:
+            assert handle.stop() is True
+            service.close()
+        assert all(d["cached"] for d in docs)
+        assert all(d["summary"] == primed["summary"] for d in docs)
+        assert after["hits_memory"] == before["hits_memory"] + n
+        assert after["misses"] == before["misses"]
+        names = [s.name for s in spans]
+        assert "submit_many" not in names
+        http = [s for s in spans if s.name == "http_request"
+                and s.args.get("route") == "/v1/design"]
+        lookups = [s for s in spans if s.name == "cache_lookup"]
+        assert len(http) == n and len(lookups) == n
+        for h in http:
+            assert any(
+                h.start_us <= s.start_us
+                and s.start_us + s.duration_us <= h.start_us + h.duration_us
+                and s.tid == h.tid and s.category == "service"
+                for s in lookups
+            )
+        assert names.count("cache_hit") == n
+
+    def test_concurrent_identical_cold_requests_compute_once(self):
+        from repro.service import DesignService
+
+        k = 4
+        release = threading.Event()
+
+        def slow_runner(job):
+            release.wait(timeout=30)
+            return {"app": job.app, "scale": job.scale, "value": 42}
+
+        service = DesignService(runner=slow_runner)
+        handle = start_in_thread(ServerConfig(port=0), service=service)
+        docs = [None] * k
+        try:
+            url = handle.url
+
+            def post(i):
+                docs[i] = DesignClient(url, tenant="pytest").design(
+                    "klt", simulate=False
+                )
+
+            threads = [threading.Thread(target=post, args=(i,))
+                       for i in range(k)]
+            for t in threads:
+                t.start()
+            # hold the owner's computation until every twin has joined it
+            _eventually(
+                lambda: service.metrics.counter("jobs_joined") == k - 1
+            )
+            release.set()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            release.set()
+            assert handle.stop() is True
+            service.close()
+        assert service.metrics.counter("jobs_completed") == 1
+        assert service.metrics.counter("jobs_joined") == k - 1
+        assert all(d is not None for d in docs)
+        assert len({canonical_json(d["summary"]) for d in docs}) == 1
+        assert sum(not d["coalesced"] for d in docs) == 1
+
+    def test_disk_hit_is_served_through_the_executor(self, tmp_path):
+        first = start_in_thread(ServerConfig(port=0, cache_dir=str(tmp_path)))
+        try:
+            doc = DesignClient(first.url).design("jpeg", simulate=False)
+        finally:
+            assert first.stop() is True
+        handle, service, tracer = _traced_server(cache_dir=tmp_path)
+        try:
+            again = DesignClient(handle.url).design("jpeg", simulate=False)
+            stats = service.cache.stats.as_dict()
+            spans = list(tracer.events)
+        finally:
+            assert handle.stop() is True
+            service.close()
+        assert again["cached"] is True
+        assert again["summary"] == doc["summary"]
+        assert stats["hits_disk"] == 1
+        assert stats["hits_memory"] == 0 and stats["misses"] == 0
+        (http,) = [s for s in spans if s.name == "http_request"]
+        (submit,) = [s for s in spans if s.name == "submit_many"]
+        assert submit.args["distinct"] == 0
+        assert submit.tid != http.tid  # not on the event loop
+
+    def test_streamed_sweep_over_cached_grid_is_all_hits(self):
+        handle, service, tracer = _traced_server()
+        try:
+            client = DesignClient(handle.url, tenant="pytest")
+            client.sweep(["canny", "klt"], scales=[1, 2])
+            mark = len(tracer.events)
+            before = service.cache.stats.as_dict()
+            completed = service.metrics.counter("jobs_completed")
+            events = list(client.sweep_stream(["canny", "klt"],
+                                              scales=[1, 2]))
+            after = service.cache.stats.as_dict()
+            spans = tracer.events[mark:]
+        finally:
+            assert handle.stop() is True
+            service.close()
+        points = [doc for name, doc in events if name == "point"]
+        assert len(points) == 4
+        assert after["hits_memory"] == before["hits_memory"] + 4
+        assert after["misses"] == before["misses"]
+        assert service.metrics.counter("jobs_completed") == completed
+        assert "submit_many" not in {s.name for s in spans}
+        hits = [s for s in spans if s.name == "cache_hit"]
+        assert len(hits) == 4
+
+    def test_job_lookup_reads_disk_without_side_effects(self, tmp_path):
+        from repro.service import DesignService
+
+        service = DesignService(cache_dir=tmp_path)
+        handle = start_in_thread(ServerConfig(port=0), service=service)
+        try:
+            client = DesignClient(handle.url)
+            doc = client.design("fluid", simulate=False)
+            fp = doc["fingerprint"]
+            service.cache.clear_memory()
+            assert service.cache.peek(fp, disk=False) is None
+            before = service.cache.stats.as_dict()
+            job = client.job(fp)
+            assert client.job("0" * 64) is None
+            assert service.cache.stats.as_dict() == before
+            assert len(service.cache) == 0  # the disk read promoted nothing
+        finally:
+            assert handle.stop() is True
+            service.close()
+        assert job is not None and job["summary"] == doc["summary"]
+
+
+class TestExecutorWatchdog:
+    def test_hung_executor_call_trips_probe_and_shows_in_debug(
+        self, tmp_path
+    ):
+        from repro.service import DesignService
+
+        release = threading.Event()
+
+        def hung_runner(job):
+            release.wait(timeout=30)
+            return {"app": job.app}
+
+        service = DesignService(runner=hung_runner)
+        config = ServerConfig(
+            port=0, flight_dir=str(tmp_path),
+            watchdog_interval_s=0.05, watchdog_job_stall_s=0.2,
+        )
+        handle = start_in_thread(config, service=service)
+        try:
+            client = DesignClient(handle.url)
+            worker = threading.Thread(
+                target=lambda: client.design("canny", simulate=False)
+            )
+            worker.start()
+            probe = DesignClient(handle.url)
+            _eventually(lambda: not probe.readyz())
+            debug = probe.debug()["debug"]
+            assert debug["executor"]["inflight"] == 1
+            assert debug["executor"]["oldest_age_s"] > 0.2
+            assert "executor" in debug["flight"]["stalled"]
+            (dump,) = tmp_path.glob("flight-*.json")
+            state = json.loads(dump.read_text())["state"]
+            assert state["executor"]["inflight"] == 1
+            release.set()
+            worker.join(timeout=30)
+            _eventually(probe.readyz)
+            assert probe.debug()["debug"]["executor"]["inflight"] == 0
+        finally:
+            release.set()
+            assert handle.stop() is True
+            service.close()

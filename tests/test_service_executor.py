@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -81,6 +82,33 @@ class TestDegradation:
         assert outcome.result is not None
         assert outcome.result.name == "klt"
         assert outcome.summary["speedup_kernels"] > 1.0
+
+    def test_concurrent_serial_callers_run_one_job_at_a_time(self):
+        """Threads sharing a serial runner (the server's executor
+        threads) queue for it instead of interleaving designs."""
+        lock = threading.Lock()
+        active, peak = [0], [0]
+
+        def runner(job):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            time.sleep(0.02)
+            with lock:
+                active[0] -= 1
+            return {"solution": "SM"}
+
+        jr = JobRunner(FAST, runner=runner)
+        threads = [
+            threading.Thread(target=jr.run, args=([_job(), _job()],))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert jr.last_mode == "serial"
+        assert peak[0] == 1
 
     def test_empty_batch(self):
         assert JobRunner(ExecutorConfig()).run([]) == []

@@ -122,7 +122,7 @@ def check_debug(client: DesignClient) -> None:
     assert doc["trace_id"] == client.last_trace_id, doc
     debug = doc["debug"]
     for section in ("uptime_s", "inflight_requests", "admission",
-                    "batcher", "tenants", "cache", "service", "events"):
+                    "executor", "tenants", "cache", "service", "events"):
         assert section in debug, f"{section} missing from /v1/debug"
     counts = debug["events"]["counts"]
     assert counts.get("request_start", 0) > 0, counts
