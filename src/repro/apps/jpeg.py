@@ -70,12 +70,12 @@ _DCT = dct_matrix()
 
 
 def fdct2(block: np.ndarray) -> np.ndarray:
-    """2-D forward DCT of one 8×8 block."""
+    """2-D forward DCT of an 8×8 block or a stack of them (..., 8, 8)."""
     return _DCT @ block @ _DCT.T
 
 
 def idct2(coef: np.ndarray) -> np.ndarray:
-    """2-D inverse DCT of one 8×8 block."""
+    """2-D inverse DCT of an 8×8 block or a stack of them (..., 8, 8)."""
     return _DCT.T @ coef @ _DCT
 
 
@@ -84,54 +84,50 @@ def idct2(coef: np.ndarray) -> np.ndarray:
 # genuine prefix code with JPEG's category/amplitude structure).
 # --------------------------------------------------------------------------
 class BitWriter:
-    """Append-only bit stream."""
+    """Append-only bit stream, kept as ``'0'``/``'1'`` string pieces."""
 
     def __init__(self) -> None:
-        self.bits: List[int] = []
+        self.pieces: List[str] = []
 
     def write(self, value: int, nbits: int) -> None:
-        """Write ``nbits`` of ``value``, MSB first."""
-        for i in range(nbits - 1, -1, -1):
-            self.bits.append((value >> i) & 1)
+        """Write the low ``nbits`` of ``value``, MSB first."""
+        self.pieces.append(bin((1 << nbits) | (value & ((1 << nbits) - 1)))[3:])
 
     def write_unary(self, n: int) -> None:
         """``n`` ones followed by a zero."""
-        self.bits.extend([1] * n)
-        self.bits.append(0)
+        self.pieces.append("1" * n + "0")
 
     def to_bytes(self) -> np.ndarray:
         """Pack to a uint8 array (zero padded)."""
-        return np.packbits(np.array(self.bits, dtype=np.uint8))
+        bits = np.frombuffer("".join(self.pieces).encode("ascii"), np.uint8)
+        return np.packbits(bits - ord("0"))
 
 
 class BitReader:
     """Sequential bit-stream reader over a uint8 array."""
 
     def __init__(self, data: np.ndarray) -> None:
-        self.bits = np.unpackbits(np.asarray(data, dtype=np.uint8))
+        bits = np.unpackbits(np.asarray(data, dtype=np.uint8)) + ord("0")
+        self.bits = bits.tobytes().decode("ascii")
         self.pos = 0
 
     def read(self, nbits: int) -> int:
         """Read ``nbits`` MSB-first."""
-        if self.pos + nbits > len(self.bits):
+        end = self.pos + nbits
+        if end > len(self.bits):
             raise ConfigurationError("bitstream underrun")
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | int(self.bits[self.pos])
-            self.pos += 1
+        value = int(self.bits[self.pos : end] or "0", 2)
+        self.pos = end
         return value
 
     def read_unary(self) -> int:
         """Count ones until the terminating zero."""
-        n = 0
-        while True:
-            if self.pos >= len(self.bits):
-                raise ConfigurationError("bitstream underrun")
-            bit = int(self.bits[self.pos])
-            self.pos += 1
-            if bit == 0:
-                return n
-            n += 1
+        end = self.bits.find("0", self.pos)
+        if end < 0:
+            raise ConfigurationError("bitstream underrun")
+        n = end - self.pos
+        self.pos = end + 1
+        return n
 
 
 def _category(value: int) -> int:
@@ -185,16 +181,14 @@ def encode_ac(ac_blocks: np.ndarray) -> np.ndarray:
     """Run-length + category coding of the 63 AC coefficients per block."""
     writer = BitWriter()
     for block in ac_blocks:
-        run = 0
-        for coef in block:
-            if coef == 0:
-                run += 1
-                continue
-            writer.write_unary(run)
-            cat = _category(int(coef))
+        prev = -1
+        for pos in np.flatnonzero(block).tolist():
+            coef = int(block[pos])
+            writer.write_unary(pos - prev - 1)  # zero run before coef
+            cat = _category(coef)
             writer.write_unary(cat)
-            _encode_amplitude(writer, int(coef), cat)
-            run = 0
+            _encode_amplitude(writer, coef, cat)
+            prev = pos
         writer.write_unary(63)  # EOB marker (impossible run value)
     return writer.to_bytes()
 
@@ -252,11 +246,8 @@ class JpegApp(Application):
             fx, fy = self.rng.uniform(0.1, 0.9, size=2)
             base = 128 + 90 * np.sin(fx * xx + b * 0.37) * np.cos(fy * yy)
             pixels[b] = np.clip(base + self.rng.normal(0, 4, (BLOCK, BLOCK)), 0, 255)
-        zz = zigzag_order()
-        coefs = np.empty((n, 64), dtype=np.int16)
-        for b in range(n):
-            q = np.round(fdct2(pixels[b] - 128.0) / QUANT_LUM).astype(np.int16)
-            coefs[b] = q.reshape(-1)[zz]
+        q = np.round(fdct2(pixels - 128.0) / QUANT_LUM).astype(np.int16)
+        coefs = q.reshape(n, 64)[:, zigzag_order()]
         dc_stream = encode_dc(coefs[:, 0])
         ac_stream = encode_ac(coefs[:, 1:])
         return pixels, coefs, dc_stream, ac_stream
@@ -305,11 +296,10 @@ class JpegApp(Application):
         with tracer.context("j_rev_dct"):
             zz_inv = np.argsort(zz_tbl.load_full())
             dq = coef.load_full().astype(np.float64)
-            out = np.empty((n, BLOCK, BLOCK), dtype=np.uint8)
-            for b in range(n):
-                block = dq[b][zz_inv].reshape(BLOCK, BLOCK)
-                out[b] = np.clip(idct2(block) + 128.0, 0, 255).astype(np.uint8)
-            out_pixels.store_full(out)
+            blocks = dq[:, zz_inv].reshape(n, BLOCK, BLOCK)
+            out_pixels.store_full(
+                np.clip(idct2(blocks) + 128.0, 0, 255).astype(np.uint8)
+            )
             tracer.add_work(700.0 * n)
 
         with tracer.context("display"):

@@ -76,37 +76,42 @@ def lk_track(
     gy: np.ndarray,
     features: np.ndarray,
 ) -> np.ndarray:
-    """Iterative Lucas–Kanade: track each feature from img1 into img2."""
-    tracked = features.astype(np.float64).copy()
+    """Iterative Lucas–Kanade: track every feature from img1 into img2.
+
+    All features advance together; one leaves the active set once its
+    step is under 1e-3, and a feature whose window is degenerate (a
+    singular structure tensor) is returned where it started.
+    """
+    features = features.astype(np.float64)
     offs = np.arange(-WIN, WIN + 1)
-    oy, ox = np.meshgrid(offs, offs, indexing="ij")
-    for f in range(features.shape[0]):
-        y, x = features[f]
-        wy, wx = y + oy, x + ox
-        t_gx = bilinear_sample(gx, wy, wx)
-        t_gy = bilinear_sample(gy, wy, wx)
-        template = bilinear_sample(img1, wy, wx)
-        # Structure tensor in (y, x) order to match the displacement d.
-        g = np.array(
-            [
-                [(t_gy * t_gy).sum(), (t_gx * t_gy).sum()],
-                [(t_gx * t_gy).sum(), (t_gx * t_gx).sum()],
-            ]
+    oy, ox = (o.ravel() for o in np.meshgrid(offs, offs, indexing="ij"))
+    wy = features[:, :1] + oy  # one row of window samples per feature
+    wx = features[:, 1:] + ox
+    t_gx = bilinear_sample(gx, wy, wx)
+    t_gy = bilinear_sample(gy, wy, wx)
+    template = bilinear_sample(img1, wy, wx)
+    # Structure tensors in (y, x) order to match the displacement d.
+    gxy = (t_gx * t_gy).sum(axis=1)
+    g = np.stack(
+        [(t_gy * t_gy).sum(axis=1), gxy, gxy, (t_gx * t_gx).sum(axis=1)], axis=1
+    ).reshape(-1, 2, 2)
+    d = np.zeros_like(features)
+    # slogdet's sign is 0 exactly when LU meets a zero pivot, i.e. when
+    # solve() would raise LinAlgError: such features never move.
+    active = np.flatnonzero(np.linalg.slogdet(g)[0] != 0)
+    for _ in range(ITERS):
+        moved = bilinear_sample(
+            img2, wy[active] + d[active, :1], wx[active] + d[active, 1:]
         )
-        d = tracked[f] - features[f]
-        for _ in range(ITERS):
-            moved = bilinear_sample(img2, wy + d[0], wx + d[1])
-            it = template - moved
-            b = np.array([(t_gy * it).sum(), (t_gx * it).sum()])
-            try:
-                step = np.linalg.solve(g, b)
-            except np.linalg.LinAlgError:  # degenerate window
-                break
-            d = d + step
-            if np.abs(step).max() < 1e-3:
-                break
-        tracked[f] = features[f] + d
-    return tracked
+        it = template[active] - moved
+        b = np.stack(
+            [(t_gy[active] * it).sum(axis=1), (t_gx[active] * it).sum(axis=1)],
+            axis=1,
+        )
+        step = np.linalg.solve(g[active], b[..., None])[..., 0]
+        d[active] += step
+        active = active[~(np.abs(step).max(axis=1) < 1e-3)]  # NaN keeps going
+    return features + d
 
 
 class KltApp(Application):
