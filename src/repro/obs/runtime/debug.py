@@ -83,8 +83,9 @@ def render_top(
 
     cache = _section(debug.get("cache"))
     service = _section(debug.get("service"))
+    hits = _num(cache, "hits_memory") + _num(cache, "hits_disk")
     lines.append(
-        f"  cache: {_num(cache, 'hits'):.0f} hits / "
+        f"  cache: {hits:.0f} hits / "
         f"{_num(cache, 'misses'):.0f} misses   "
         f"service: {_num(service, 'jobs_submitted'):.0f} submitted, "
         f"{_num(service, 'jobs_coalesced'):.0f} coalesced, "

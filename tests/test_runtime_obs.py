@@ -247,7 +247,7 @@ class TestRenderTop:
             "executor": {"inflight": 1, "oldest_age_s": 0.012},
             "tenants": {"team-a": {"remaining": 20.0, "burst": 100.0,
                                    "rate": 50.0}},
-            "cache": {"hits": 5, "misses": 4},
+            "cache": {"hits_memory": 3, "hits_disk": 2, "misses": 4},
             "service": {"jobs_submitted": 9, "jobs_completed": 9,
                         "jobs_coalesced": 0, "jobs_joined": 0,
                         "jobs_failed": 0, "last_mode": "serial"},
@@ -269,6 +269,7 @@ class TestRenderTop:
         assert "team-a" in screen
         assert "request_start" in screen
         assert "executor: 1 in flight, oldest 12.0ms" in screen
+        assert "cache: 5 hits / 4 misses" in screen
 
     def test_accepts_bare_debug_body(self):
         screen = render_top(self.DOC["debug"])
@@ -290,6 +291,27 @@ class TestRenderTop:
 
     def test_degrades_on_missing_sections(self):
         assert "repro top" in render_top({})
+
+    def test_cache_hits_sum_both_tiers_of_a_live_service(self, tmp_path):
+        # /v1/debug's cache section is CacheStats.as_dict(): it carries
+        # hits_memory and hits_disk, and no plain "hits".
+        from repro.server import DesignClient, ServerConfig, start_in_thread
+        from repro.service import DesignJob, DesignService, ResultCache
+
+        service = DesignService(
+            cache=ResultCache(capacity=1, cache_dir=tmp_path)
+        )
+        a = DesignJob("klt", simulate=False)
+        b = DesignJob("klt", seed=7, simulate=False)
+        service.submit(a)  # miss
+        service.submit(b)  # miss; evicts a from the one-entry memory tier
+        assert service.submit(a).cached  # disk hit
+        assert service.submit(a).cached  # memory hit
+        with start_in_thread(ServerConfig(port=0), service=service) as handle:
+            doc = DesignClient(handle.url).debug()
+        cache = doc["debug"]["cache"]
+        assert (cache["hits_memory"], cache["hits_disk"]) == (1, 1)
+        assert "cache: 2 hits / 2 misses" in render_top(doc)
 
 
 class TestConsistentScrape:
