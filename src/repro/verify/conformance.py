@@ -113,9 +113,9 @@ def simulate_system(
     graph: CommGraph,
     plan: InterconnectPlan,
     params: SystemParams,
-    recorder: TimeseriesRecorder,
+    recorder: Optional[TimeseriesRecorder],
 ) -> SimulatedTimes:
-    """Run one of :data:`SYSTEMS` with ``recorder`` attached."""
+    """Run one of :data:`SYSTEMS` with ``recorder`` attached (or none)."""
     if system == "baseline":
         return simulate_baseline(graph, 0.0, params, recorder=recorder)
     if system == "pipelined":
