@@ -89,32 +89,18 @@ class PlbBus(Component):
         re-runs between bursts).
         """
         remaining = int(nbytes)
+        if remaining < 0:
+            raise ConfigurationError(f"negative transfer size {nbytes}")
         engine = self.engine
         res = self._resource
+        full = self.typical_burst_bytes
+        full_hold = self.cycles(self.transfer_cycles(full))
         while remaining > 0:
-            burst = min(remaining, self.typical_burst_bytes)
-            if res._in_use < res.capacity:
-                # Fast lane: the bus is free — if no queued event lands
-                # within the burst either, the whole grant→hold→release
-                # round trip fuses into straight-line code. Bookkeeping
-                # (counters, busy window, recorder samples, trace log)
-                # replays the slow path operation for operation.
-                hold = self.cycles(self.transfer_cycles(burst))
-                if engine.can_advance(hold):
-                    started = engine.now
-                    res._fused_acquire()
-                    self.log(f"xfer {burst}B from {requester}")
-                    engine.advance(hold)
-                    self.bytes_moved += burst
-                    self.transactions += 1
-                    rec = self.recorder
-                    if rec.enabled:
-                        rec.activity(
-                            "bus", self.name, started, engine.now, requester
-                        )
-                    res.release()
-                    remaining -= burst
-                    continue
+            if not res._in_use:
+                remaining = self._burst_run(remaining, full_hold, requester)
+                if not remaining:
+                    return
+            burst = min(remaining, full)
             yield res.request(requester)
             try:
                 self.log(f"xfer {burst}B from {requester}")
@@ -130,6 +116,59 @@ class PlbBus(Component):
             finally:
                 res.release()
             remaining -= burst
+
+    def _burst_run(self, remaining: int, full_hold: float, requester: str) -> int:
+        """Fuse back-to-back bursts while the free bus stays uncontended.
+
+        Each burst asks :meth:`Engine.can_advance` whether a queued event
+        lands within its hold; while none does, its grant→hold→release
+        round trip runs as straight-line code. Per burst this performs
+        the queued path's float operations in its order — ``now =
+        started + hold`` as ``advance`` adds, ``busy_time += now -
+        started`` as ``release`` adds — and, when profiling or tracing,
+        emits the same occupancy samples, bus activity and log line. The
+        integer counters are summed locally and written once. Returns
+        the bytes still to move; the first burst that cannot fuse is
+        left to the queued path.
+        """
+        engine = self.engine
+        res = self._resource
+        full = self.typical_burst_bytes
+        occ = res.recorder
+        rec = self.recorder
+        observed = occ is not None or rec.enabled or self.tracing
+        busy = res.busy_time
+        bursts = moved = 0
+        while remaining > 0:
+            if remaining >= full:
+                burst, hold = full, full_hold
+            else:
+                burst = remaining
+                hold = self.cycles(self.transfer_cycles(burst))
+            if not engine.can_advance(hold):
+                break
+            started = engine.now
+            if observed:
+                # The bus arbiter has capacity 1: held → 1, free → 0.
+                if occ is not None:
+                    occ.occupancy(res.profile_lane, started, 1, res.queued())
+                self.log(f"xfer {burst}B from {requester}")
+            now = engine.now = started + hold
+            busy += now - started
+            if observed:
+                if rec.enabled:
+                    rec.activity("bus", self.name, started, now, requester)
+                if occ is not None:
+                    occ.occupancy(res.profile_lane, now, 0, res.queued())
+            bursts += 1
+            moved += burst
+            remaining -= burst
+        res.busy_time = busy
+        res.grants += bursts
+        engine.fused_events += bursts
+        self.transactions += bursts
+        self.bytes_moved += moved
+        return remaining
 
     def utilization(self, total_time: float) -> float:
         """Busy fraction over ``total_time`` seconds."""

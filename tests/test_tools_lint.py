@@ -17,7 +17,7 @@ lint_repro = importlib.util.module_from_spec(spec)
 sys.modules["lint_repro"] = lint_repro
 spec.loader.exec_module(lint_repro)
 
-FAKE = pathlib.Path("/root/repo/src/repro/sim/fake.py")
+FAKE = lint_repro.SRC_ROOT / "sim" / "fake.py"
 
 
 def _findings(checker, source, path=FAKE):
@@ -122,7 +122,7 @@ def test_r5_allows_non_print_calls(source):
 
 
 # -- R6: static purity -----------------------------------------------------
-STATIC_FAKE = pathlib.Path("/root/repo/src/repro/static/fake.py")
+STATIC_FAKE = lint_repro.SRC_ROOT / "static" / "fake.py"
 
 
 @pytest.mark.parametrize(
@@ -165,7 +165,7 @@ def test_r6_allows_pure_imports(source):
 
 
 def test_r6_resolves_relative_imports_in_init():
-    init = pathlib.Path("/root/repo/src/repro/static/__init__.py")
+    init = lint_repro.SRC_ROOT / "static" / "__init__.py"
     found = _findings(
         lint_repro.check_static_purity, "from ..sim import systems\n", init
     )
