@@ -15,6 +15,7 @@ the graph; :class:`KernelSpec` carries only per-kernel intrinsic facts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
@@ -62,6 +63,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("kernel name must be non-empty")
+        if not (math.isfinite(self.tau_cycles) and math.isfinite(self.sw_cycles)):
+            raise ConfigurationError(
+                f"kernel {self.name!r} has non-finite timing "
+                f"(tau={self.tau_cycles}, sw={self.sw_cycles})"
+            )
         if self.tau_cycles < 0 or self.sw_cycles < 0:
             raise ConfigurationError(
                 f"kernel {self.name!r} has negative timing "

@@ -20,6 +20,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             KernelSpec("k", 1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf")]
+    )
+    def test_non_finite_timing_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            KernelSpec("k", bad, 1.0)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            KernelSpec("k", 1.0, bad)
+
+    def test_non_finite_tau_never_reaches_the_simulator(self):
+        # A NaN tau used to be accepted, and HwKernelSim.compute() then
+        # produced a nan makespan without any error.
+        from repro.sim.engine import Engine
+        from repro.sim.hwkernel import HwKernelSim
+
+        with pytest.raises(ConfigurationError):
+            HwKernelSim(Engine(), KernelSpec("a", float("nan"), 1.0))
+
     def test_negative_memory_rejected(self):
         with pytest.raises(ConfigurationError):
             KernelSpec("k", 1.0, 1.0, local_memory_bytes=-5)
