@@ -54,7 +54,11 @@ class SimulationStats:
     #: DMA descriptor high-water mark (concurrent in-flight transfers).
     dma_transfers: int = 0
     dma_peak_queue: int = 0
-    #: Discrete events the engine executed for this run.
+    #: Discrete events the engine executed for this run. Not a
+    #: contract: the count fell on NoC runs when packets became
+    #: callback objects (one start entry per message, no completion
+    #: entry for a packet that is not the last), with every simulated
+    #: time unchanged, and it may fall again.
     engine_events: int = 0
     #: Timed operations the engine fused (executed synchronously). Like
     #: ``engine_events`` this describes the engine implementation, not
