@@ -189,6 +189,59 @@ def test_r6_static_package_is_clean_on_disk():
         assert list(lint_repro.check_static_purity(path, tree)) == []
 
 
+# -- R7: engine privacy ----------------------------------------------------
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = engine._queue[0][0]\n",
+        "heapq.heappush(self.engine._queue, (t, s, f))\n",
+        "n = next(engine._seq)\n",
+        "engine._batch_remaining = 0\n",
+        "if eng._batch_remaining:\n    pass\n",
+    ],
+)
+def test_r7_flags_engine_private_access(source):
+    found = _findings(lint_repro.check_engine_privacy, source)
+    assert len(found) == 1
+    assert found[0].rule == "R7"
+    assert "engine-private" in found[0].message
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "engine.schedule(0.0, f)\n",
+        "engine.call_soon(f)\n",
+        "ok = engine.can_advance(hold)\n",
+        "n = self._queued\n",
+        "self.queue = []\n",
+        "self._seq_no = 1\n",
+        "_queue = []\n",   # a plain name, not an attribute
+    ],
+)
+def test_r7_allows_public_engine_calls(source):
+    assert _findings(lint_repro.check_engine_privacy, source) == []
+
+
+def test_r7_scope_is_sim_outside_the_engine():
+    src = lint_repro.SRC_ROOT
+    assert lint_repro._in_engine_client_scope(src / "sim" / "bus.py")
+    assert lint_repro._in_engine_client_scope(src / "sim" / "noc" / "mesh.py")
+    assert not lint_repro._in_engine_client_scope(src / "sim" / "engine.py")
+    # The event log keeps a ``_seq`` of its own.
+    assert not lint_repro._in_engine_client_scope(
+        src / "obs" / "runtime" / "events.py"
+    )
+    assert not lint_repro._in_engine_client_scope(src / "cli.py")
+
+
+def test_r7_sim_package_is_clean_on_disk():
+    for path in lint_repro._python_files(lint_repro.SRC_ROOT / "sim"):
+        if lint_repro._in_engine_client_scope(path):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert list(lint_repro.check_engine_privacy(path, tree)) == []
+
+
 # -- scoping --------------------------------------------------------------
 def test_determinism_scope_is_sim_and_core_only():
     src = lint_repro.SRC_ROOT

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific AST lint rules, run in CI ahead of the test suite.
 
-Six rules, each encoding an invariant the test suite can only probe
+Seven rules, each encoding an invariant the test suite can only probe
 statistically but the AST can prove outright:
 
 * **R1 wall-clock** — no ``time.time()`` / ``time.time_ns()`` /
@@ -33,6 +33,14 @@ statistically but the AST can prove outright:
   derives the communication graph *without executing anything*; an
   import of the simulator or the tracer would silently void that claim
   even if no kernel actually runs.
+* **R7 engine privacy** — no ``._queue``, ``._seq`` or
+  ``._batch_remaining`` attribute access inside ``repro.sim`` outside
+  ``sim/engine.py``. Those three fields decide the order in which
+  same-time work runs, and every exactness argument of event fusion
+  rests on the engine alone deciding it; components order their work
+  through ``schedule``, ``call_soon`` and the fusion calls. The rule is
+  scoped to ``repro.sim`` because unrelated classes (the event log in
+  ``repro.obs.runtime``) have a ``_seq`` of their own.
 
 Usage::
 
@@ -68,6 +76,14 @@ PURE_SCOPES = ("static",)
 
 #: Dotted package prefixes the pure scopes must not import (R6).
 IMPURE_IMPORTS = ("repro.sim", "repro.profiling")
+
+#: Subpackage whose modules may not touch the engine's ordering state
+#: (R7), and the one module of it that owns that state.
+ENGINE_SCOPE = "sim"
+ENGINE_MODULE = ("sim", "engine.py")
+
+#: Engine attributes that decide same-time ordering (R7).
+ENGINE_PRIVATE = frozenset({"_queue", "_seq", "_batch_remaining"})
 
 #: Dotted-call suffixes that read the wall clock.
 WALL_CLOCK_CALLS = frozenset(
@@ -116,6 +132,15 @@ def _in_silent_scope(path: pathlib.Path) -> bool:
 def _in_pure_scope(path: pathlib.Path) -> bool:
     rel = path.relative_to(SRC_ROOT)
     return bool(rel.parts) and rel.parts[0] in PURE_SCOPES
+
+
+def _in_engine_client_scope(path: pathlib.Path) -> bool:
+    rel = path.relative_to(SRC_ROOT)
+    return (
+        bool(rel.parts)
+        and rel.parts[0] == ENGINE_SCOPE
+        and rel.parts != ENGINE_MODULE
+    )
 
 
 # -- R1 / R2: determinism of sim + core ----------------------------------
@@ -265,6 +290,21 @@ def check_static_purity(
                     )
 
 
+# -- R7: engine privacy ---------------------------------------------------
+def check_engine_privacy(
+    path: pathlib.Path, tree: ast.AST
+) -> Iterator[Finding]:
+    """R7: the engine's ordering state touched outside the engine."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENGINE_PRIVATE:
+            yield Finding(
+                "R7", path, node.lineno,
+                f"access to engine-private .{node.attr} — only "
+                "repro.sim.engine orders same-time work; use schedule, "
+                "call_soon or the fusion calls",
+            )
+
+
 # -- R4: serialized-schema digest ----------------------------------------
 def _schema_keys(node: ast.Dict) -> List[str]:
     keys: List[str] = []
@@ -362,6 +402,8 @@ def run_lint(
             findings.extend(check_raw_print(path, tree))
         if _in_pure_scope(path):
             findings.extend(check_static_purity(path, tree))
+        if _in_engine_client_scope(path):
+            findings.extend(check_engine_privacy(path, tree))
         findings.extend(check_float_equality(path, tree))
     findings.extend(check_schema_drift(collect_schemas(files), digest_path))
     return sorted(findings, key=lambda f: (f.rule, str(f.path), f.line))
