@@ -35,6 +35,22 @@ class KernelTraits:
     streams_kernel_input: bool = False
 
 
+def require_int(name: str, value: object, minimum: int) -> int:
+    """``value`` as an ``int``, if it is an integer no less than ``minimum``.
+
+    NumPy integers are accepted. ``bool`` is refused although it is an
+    ``int`` subclass, and so is a float even when it is integral: a
+    ``scale=True`` or ``seed=1.7`` is a caller's mistake, not a count.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer)
+    ):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 class Application(abc.ABC):
     """An instrumented workload with named kernel candidates."""
 
@@ -42,10 +58,8 @@ class Application(abc.ABC):
     name: str = ""
 
     def __init__(self, scale: int = 1, seed: int = 2014) -> None:
-        if scale < 1:
-            raise ConfigurationError(f"scale must be >= 1, got {scale}")
-        self.scale = scale
-        self.rng = np.random.default_rng(seed)
+        self.scale = require_int("scale", scale, 1)
+        self.rng = np.random.default_rng(require_int("seed", seed, 0))
         self._profile: Optional[CommunicationProfile] = None
 
     # -- to implement -------------------------------------------------------

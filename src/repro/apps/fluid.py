@@ -22,9 +22,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..profiling import AddressSpace, Tracer
-from .base import Application, KernelTraits
+from .base import Application, KernelTraits, require_int
 
 #: Jacobi sweeps for the diffusion and pressure solves.
 RELAX = 20
@@ -35,17 +34,41 @@ DIFF = 0.0001
 
 
 def jacobi(x0: np.ndarray, b: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Jacobi relaxation for ``(I - alpha ∇²) x = b``-style systems."""
-    x = x0.copy()
+    """Jacobi relaxation for ``(I - alpha ∇²) x = b``-style systems.
+
+    Each sweep sets every interior cell to
+    ``(b + alpha * (((up + down) + left) + right)) / beta`` and leaves the
+    boundary rows and columns as they are in ``x0``. The sweep runs over
+    the flattened array, so every neighbour is a contiguous slice: the
+    interior of rows ``1..n-2`` is the flat range ``[m+1, n·m-m-1)``,
+    with the neighbours at offsets ``±m`` and ``±1``. That range also
+    covers the first and last column of those rows (a row's last cell
+    sits next to the following row's first), so both columns are put
+    back from ``x0`` after each sweep. Every interior element comes from
+    the same IEEE operations, in the same order, as the expression above
+    evaluated over 2-D slices. ``x0`` and ``b`` share one dtype, and
+    ``alpha``/``beta`` are Python numbers, so the sweep runs in that dtype.
+    """
+    n, m = x0.shape
+    src = np.array(x0, order="C")
+    if n < 3 or m < 3:
+        return src  # no interior cell
+    dst = src.copy()
+    x, y = src.reshape(-1), dst.reshape(-1)
+    lo, hi = m + 1, n * m - m - 1
+    rhs = np.ascontiguousarray(b).reshape(-1)[lo:hi]
+    acc = np.empty(hi - lo, dtype=src.dtype)
     for _ in range(RELAX):
-        x_new = x.copy()
-        x_new[1:-1, 1:-1] = (
-            b[1:-1, 1:-1]
-            + alpha
-            * (x[:-2, 1:-1] + x[2:, 1:-1] + x[1:-1, :-2] + x[1:-1, 2:])
-        ) / beta
-        x = x_new
-    return x
+        np.add(x[lo - m:hi - m], x[lo + m:hi + m], out=acc)
+        np.add(acc, x[lo - 1:hi - 1], out=acc)
+        np.add(acc, x[lo + 1:hi + 1], out=acc)
+        np.multiply(alpha, acc, out=acc)
+        np.add(rhs, acc, out=acc)
+        np.divide(acc, beta, out=y[lo:hi])
+        dst[1:-1, 0] = x0[1:-1, 0]
+        dst[1:-1, -1] = x0[1:-1, -1]
+        src, dst, x, y = dst, src, y, x
+    return src
 
 
 def diffuse_field(field: np.ndarray, rate: float) -> np.ndarray:
@@ -54,21 +77,50 @@ def diffuse_field(field: np.ndarray, rate: float) -> np.ndarray:
     return jacobi(field, field, a, 1 + 4 * a)
 
 
+class AdvectionWeights:
+    """Semi-Lagrangian back-trace of one velocity field.
+
+    Each cell is traced back along ``(u, v)`` and its bilinear gather
+    (four flat source indices and the weights ``1-fy``, ``fy``, ``1-fx``,
+    ``fx``) is computed once; :meth:`apply` then moves any number of
+    fields with it. A tap's term stays ``(f·wy)·wx``: pre-multiplying
+    the two weights would round differently.
+    """
+
+    __slots__ = ("_taps",)
+
+    def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
+        n, m = u.shape
+        ys = np.arange(n, dtype=np.float64)[:, None]
+        xs = np.arange(m, dtype=np.float64)[None, :]
+        back_y = np.clip(ys - DT * n * v, 0.5, n - 1.5)
+        back_x = np.clip(xs - DT * m * u, 0.5, m - 1.5)
+        y0 = np.floor(back_y).astype(int)
+        x0 = np.floor(back_x).astype(int)
+        fy, fx = back_y - y0, back_x - x0
+        gy, gx = 1 - fy, 1 - fx
+        i = y0 * m + x0
+        self._taps = (
+            (i, gy, gx), (i + 1, gy, fx), (i + m, fy, gx), (i + m + 1, fy, fx)
+        )
+
+    def apply(self, field: np.ndarray) -> np.ndarray:
+        """``field`` moved along the traced velocity (same shape)."""
+        flat = np.ascontiguousarray(field).reshape(-1)
+        out = None
+        for idx, wy, wx in self._taps:
+            term = flat.take(idx) * wy
+            term *= wx
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
+
+
 def advect_field(field: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Semi-Lagrangian advection: trace back along the velocity field."""
-    n, m = field.shape
-    ys, xs = np.mgrid[0:n, 0:m].astype(np.float64)
-    back_y = np.clip(ys - DT * n * v, 0.5, n - 1.5)
-    back_x = np.clip(xs - DT * m * u, 0.5, m - 1.5)
-    y0 = np.floor(back_y).astype(int)
-    x0 = np.floor(back_x).astype(int)
-    fy, fx = back_y - y0, back_x - x0
-    return (
-        field[y0, x0] * (1 - fy) * (1 - fx)
-        + field[y0, x0 + 1] * (1 - fy) * fx
-        + field[y0 + 1, x0] * fy * (1 - fx)
-        + field[y0 + 1, x0 + 1] * fy * fx
-    )
+    return AdvectionWeights(u, v).apply(field)
 
 
 def project_fields(u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,10 +151,8 @@ class FluidApp(Application):
 
     def __init__(self, scale: int = 1, seed: int = 2014, steps: int = 2) -> None:
         super().__init__(scale=scale, seed=seed)
-        if steps < 1:
-            raise ConfigurationError("need at least one solver step")
-        self.size = 64 * scale
-        self.steps = steps
+        self.size = 64 * self.scale
+        self.steps = require_int("steps", steps, 1)
 
     def kernel_traits(self) -> Dict[str, KernelTraits]:
         return {
@@ -170,10 +220,11 @@ class FluidApp(Application):
             with tracer.context("advect"):
                 uu = u_proj.load_full().astype(np.float64)
                 vv = v_proj.load_full().astype(np.float64)
-                u_adv.store_full(advect_field(uu, uu, vv))
-                v_adv.store_full(advect_field(vv, uu, vv))
+                trace = AdvectionWeights(uu, vv)
+                u_adv.store_full(trace.apply(uu))
+                v_adv.store_full(trace.apply(vv))
                 d_adv.store_full(
-                    advect_field(d_dif.load_full().astype(np.float64), uu, vv)
+                    trace.apply(d_dif.load_full().astype(np.float64))
                 )
                 tracer.add_work(3.0 * 14.0 * n * n)
 

@@ -240,12 +240,19 @@ class JpegApp(Application):
         """Produce (source pixels, quantized zig-zag coefs, dc stream, ac stream)."""
         n = self.n_blocks
         # Smooth-ish synthetic blocks: low-frequency content + texture.
-        yy, xx = np.mgrid[0:BLOCK, 0:BLOCK]
-        pixels = np.empty((n, BLOCK, BLOCK), dtype=np.float64)
+        # The draws stay in per-block order (the pixels fix the bitstream
+        # sizes, which are profile edges); the arithmetic then runs over
+        # all blocks at once, each element through the same operations.
+        freq = np.empty((n, 2), dtype=np.float64)
+        noise = np.empty((n, BLOCK, BLOCK), dtype=np.float64)
         for b in range(n):
-            fx, fy = self.rng.uniform(0.1, 0.9, size=2)
-            base = 128 + 90 * np.sin(fx * xx + b * 0.37) * np.cos(fy * yy)
-            pixels[b] = np.clip(base + self.rng.normal(0, 4, (BLOCK, BLOCK)), 0, 255)
+            freq[b] = self.rng.uniform(0.1, 0.9, size=2)
+            noise[b] = self.rng.normal(0, 4, (BLOCK, BLOCK))
+        yy, xx = np.mgrid[0:BLOCK, 0:BLOCK]
+        fx, fy = freq[:, 0, None, None], freq[:, 1, None, None]
+        phase = np.arange(n)[:, None, None] * 0.37
+        base = 128 + 90 * np.sin(fx * xx + phase) * np.cos(fy * yy)
+        pixels = np.clip(base + noise, 0, 255)
         q = np.round(fdct2(pixels - 128.0) / QUANT_LUM).astype(np.int16)
         coefs = q.reshape(n, 64)[:, zigzag_order()]
         dc_stream = encode_dc(coefs[:, 0])

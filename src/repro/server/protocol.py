@@ -71,6 +71,20 @@ def _reject_unknown(doc: Mapping[str, Any], allowed: frozenset) -> None:
         )
 
 
+def _json_int(value: Any, name: str) -> int:
+    """A JSON integer field; a bool or a non-integral number is a 400.
+
+    ``int()`` would truncate ``1.7`` and turn ``true`` into 1, designing
+    a job nobody asked for. An integral float (``2.0``) is accepted.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"'{name}' must be an integer, got {value!r}",
+                            status=400)
+    return value
+
+
 def parse_design_request(doc: Mapping[str, Any]) -> DesignJob:
     """Build a :class:`DesignJob` from a ``POST /v1/design`` body."""
     _reject_unknown(doc, _DESIGN_KEYS)
@@ -86,8 +100,8 @@ def parse_design_request(doc: Mapping[str, Any]) -> DesignJob:
     try:
         return DesignJob(
             app=doc["app"],
-            scale=int(doc.get("scale", 1)),
-            seed=int(doc.get("seed", 2014)),
+            scale=_json_int(doc.get("scale", 1), "scale"),
+            seed=_json_int(doc.get("seed", 2014), "seed"),
             params=SystemParams(**dict(params)),
             simulate=bool(doc.get("simulate", True)),
             design=dict(design),
@@ -112,10 +126,10 @@ def parse_sweep_request(
     try:
         grid = SweepGrid(
             apps=list(doc["apps"]),
-            scales=[int(s) for s in doc.get("scales", [1])],
+            scales=[_json_int(s, "scales") for s in doc.get("scales", [1])],
             param_grid={k: list(v) for k, v in param_grid.items()},
             simulate=bool(doc.get("simulate", False)),
-            seed=int(doc.get("seed", 2014)),
+            seed=_json_int(doc.get("seed", 2014), "seed"),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid sweep request: {exc}",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from .. import io as reproio
+from ..apps.base import require_int
 from ..apps.registry import APP_NAMES
 from ..errors import ConfigurationError
 from ..flow import DESIGN_TOGGLE_FIELDS, GRAPH_SOURCES
@@ -55,8 +56,8 @@ class DesignJob:
             raise ConfigurationError(
                 f"unknown application {self.app!r} (have: {list(APP_NAMES)})"
             )
-        if self.scale < 1:
-            raise ConfigurationError(f"scale must be >= 1, got {self.scale}")
+        object.__setattr__(self, "scale", require_int("scale", self.scale, 1))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         if self.graph_source not in GRAPH_SOURCES:
             raise ConfigurationError(
                 f"unknown graph_source {self.graph_source!r} "

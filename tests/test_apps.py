@@ -18,9 +18,14 @@ import pytest
 from repro.apps import get_application
 from repro.apps.canny import gaussian_blur, hysteresis_threshold, nonmax, sobel
 from repro.apps.fluid import (
+    DT,
+    RELAX,
+    AdvectionWeights,
+    FluidApp,
     advect_field,
     diffuse_field,
     divergence,
+    jacobi,
     project_fields,
 )
 from repro.apps.jpeg import (
@@ -44,6 +49,7 @@ from repro.apps.registry import APP_NAMES
 from repro.core import CommGraph, KernelSpec
 from repro.core.sharing import find_sharing_pairs
 from repro.errors import ConfigurationError
+from repro.flow import run_experiment
 from repro.profiling import AddressSpace, QuadAnalyzer, Tracer
 
 
@@ -205,7 +211,116 @@ class TestKltPrimitives:
         assert np.abs(textured - np.array(TRUE_SHIFT)).max() < 0.5
 
 
+def slice_jacobi(x0, b, alpha, beta):
+    """Reference: ``fluid.jacobi`` written over 2-D slices."""
+    x = x0.copy()
+    for _ in range(RELAX):
+        x_new = x.copy()
+        x_new[1:-1, 1:-1] = (
+            b[1:-1, 1:-1]
+            + alpha
+            * (x[:-2, 1:-1] + x[2:, 1:-1] + x[1:-1, :-2] + x[1:-1, 2:])
+        ) / beta
+        x = x_new
+    return x
+
+
+def slice_advect(field, u, v):
+    """Reference: ``fluid.advect_field`` written with 2-D fancy indexing."""
+    n, m = field.shape
+    ys, xs = np.mgrid[0:n, 0:m].astype(np.float64)
+    back_y = np.clip(ys - DT * n * v, 0.5, n - 1.5)
+    back_x = np.clip(xs - DT * m * u, 0.5, m - 1.5)
+    y0 = np.floor(back_y).astype(int)
+    x0 = np.floor(back_x).astype(int)
+    fy, fx = back_y - y0, back_x - x0
+    return (
+        field[y0, x0] * (1 - fy) * (1 - fx)
+        + field[y0, x0 + 1] * (1 - fy) * fx
+        + field[y0 + 1, x0] * fy * (1 - fx)
+        + field[y0 + 1, x0 + 1] * fy * fx
+    )
+
+
+def mutant_jacobi(x0, b, alpha, beta):
+    """``slice_jacobi`` with the neighbour sum reassociated."""
+    x = x0.copy()
+    for _ in range(RELAX):
+        x_new = x.copy()
+        x_new[1:-1, 1:-1] = (
+            b[1:-1, 1:-1]
+            + alpha
+            * ((x[1:-1, :-2] + x[1:-1, 2:]) + (x[:-2, 1:-1] + x[2:, 1:-1]))
+        ) / beta
+        x = x_new
+    return x
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+EXACT_SHAPES = [(3, 3), (5, 7), (64, 64), (128, 128)]
+#: ``diffuse_field``'s alpha for velocity at 64².
+_ALPHA_64 = DT * 0.0002 * 64 * 64
+#: (alpha, beta) of the app's diffusion and pressure solves.
+RELAX_COEFFS = [(_ALPHA_64, 1 + 4 * _ALPHA_64), (1.0, 4.0)]
+
+
 class TestFluidPrimitives:
+    @pytest.mark.parametrize("transposed_b", [False, True])
+    @pytest.mark.parametrize("alpha,beta", RELAX_COEFFS)
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_jacobi_bytes_match_slice_reference(
+        self, shape, alpha, beta, transposed_b
+    ):
+        rng = np.random.default_rng(sum(shape))
+        x0 = rng.normal(size=shape)
+        if transposed_b:  # a non-contiguous view
+            b = rng.normal(size=shape[::-1]).T
+            assert not b.flags.c_contiguous
+        else:
+            b = rng.normal(size=shape)
+        assert same_bytes(jacobi(x0, b, alpha, beta),
+                          slice_jacobi(x0, b, alpha, beta))
+
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_diffuse_float32_bytes_match_slice_reference(self, shape):
+        field = np.random.default_rng(3).random(shape, dtype=np.float32)
+        a = DT * 0.0001 * shape[0] * shape[1]
+        out = diffuse_field(field, 0.0001)
+        assert out.dtype == np.float32
+        assert same_bytes(out, slice_jacobi(field, field, a, 1 + 4 * a))
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 6), (2, 2), (2, 9), (9, 2), (6, 1)]
+    )
+    def test_jacobi_without_interior_returns_input(self, shape):
+        x0 = np.random.default_rng(2).normal(size=shape)
+        out = jacobi(x0, x0, 1.0, 4.0)
+        assert out is not x0
+        assert same_bytes(out, x0)
+        assert same_bytes(out, slice_jacobi(x0, x0, 1.0, 4.0))
+
+    def test_byte_test_catches_reordered_neighbour_sum(self):
+        rng = np.random.default_rng(64)
+        x0, b = rng.normal(size=(64, 64)), rng.normal(size=(64, 64))
+        assert not same_bytes(mutant_jacobi(x0, b, 1.0, 4.0),
+                              jacobi(x0, b, 1.0, 4.0))
+
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_advect_bytes_match_slice_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        u, v = rng.normal(size=shape), rng.normal(size=shape)
+        fields = [u, v, rng.random(shape), rng.random(shape, dtype=np.float32)]
+        trace = AdvectionWeights(u, v)
+        for field in fields:
+            expected = slice_advect(field, u, v)
+            assert same_bytes(trace.apply(field), expected)
+            assert same_bytes(advect_field(field, u, v), expected)
+
     def test_diffuse_conserves_constant(self):
         field = np.full((32, 32), 3.0)
         assert np.allclose(diffuse_field(field, 0.001)[1:-1, 1:-1], 3.0, atol=1e-6)
@@ -273,6 +388,35 @@ class TestRegistry:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             get_application("canny", scale=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scale": 2.0}, {"scale": True}, {"scale": np.float64(1)},
+            {"scale": "2"}, {"scale": -1}, {"seed": -1}, {"seed": 1.7},
+            {"seed": False}, {"seed": np.bool_(True)}, {"seed": "3"},
+        ],
+    )
+    def test_scale_and_seed_must_be_integers(self, kwargs):
+        for name in APP_NAMES:
+            with pytest.raises(ConfigurationError):
+                get_application(name, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        app = get_application("klt", scale=np.int64(2), seed=np.int32(0))
+        assert app.scale == 2 and type(app.scale) is int
+        ref = get_application("klt", scale=2, seed=0)
+        assert app.rng.random() == ref.rng.random()
+
+    @pytest.mark.parametrize("steps", [0, -2, 1.0, True, "2"])
+    def test_fluid_steps_must_be_positive_integer(self, steps):
+        with pytest.raises(ConfigurationError):
+            FluidApp(steps=steps)
+
+    @pytest.mark.parametrize("kwargs", [{"scale": 2.0}, {"seed": -1}])
+    def test_run_experiment_refuses_bad_inputs(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            run_experiment("fluid", simulate=False, **kwargs)
 
 
 # ---------------------------------------------------------------------------

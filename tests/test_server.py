@@ -64,6 +64,40 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             protocol.parse_design_request({"scale": 1})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("scale", True), ("scale", 1.7), ("seed", 1.7), ("seed", False),
+         ("seed", "7"), ("scale", None)],
+    )
+    def test_design_request_refuses_non_integer_counts(self, field, value):
+        with pytest.raises(ProtocolError) as err:
+            protocol.parse_design_request({"app": "klt", field: value})
+        assert err.value.status == 400
+        assert field in str(err.value)
+
+    def test_design_request_accepts_integral_floats(self):
+        job = protocol.parse_design_request(
+            {"app": "klt", "scale": 2.0, "seed": 7.0}
+        )
+        assert (job.scale, job.seed) == (2, 7)
+        assert type(job.scale) is int and type(job.seed) is int
+
+    def test_design_request_refuses_negative_seed(self):
+        # Not a ProtocolError, but the library's own ConfigurationError,
+        # which the server answers with a 400 as well.
+        with pytest.raises(ConfigurationError, match="seed"):
+            protocol.parse_design_request({"app": "fluid", "seed": -1})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"scales": [1, True]}, {"scales": [1.5]}, {"seed": 2.5},
+         {"seed": True}],
+    )
+    def test_sweep_request_refuses_non_integer_counts(self, doc):
+        with pytest.raises(ProtocolError) as err:
+            protocol.parse_sweep_request({"apps": ["canny"], **doc})
+        assert err.value.status == 400
+
     def test_sweep_request_builds_grid(self):
         grid = protocol.parse_sweep_request({
             "apps": ["canny", "jpeg"], "scales": [1, 2],
@@ -283,6 +317,28 @@ class TestEndToEnd:
         client = DesignClient(server.url)
         with pytest.raises(ServerError) as err:
             client.design("netflix")
+        assert err.value.status == 400
+
+    def test_negative_seed_is_one_400_and_never_runs(self, server):
+        """A deterministic input error is refused on the first request;
+        no job is submitted, so nothing is retried into a 500."""
+        metrics = server.server.service.metrics
+        before = (metrics.counter("jobs_submitted"),
+                  metrics.counter("jobs_failed"))
+        client = DesignClient(server.url)
+        with pytest.raises(ServerError) as err:
+            client.design("fluid", seed=-1)
+        assert err.value.status == 400
+        assert "seed" in str(err.value)
+        assert "attempts" not in str(err.value)
+        assert (metrics.counter("jobs_submitted"),
+                metrics.counter("jobs_failed")) == before
+
+    @pytest.mark.parametrize("body", [{"seed": 1.7}, {"scale": True}])
+    def test_non_integer_counts_are_400(self, server, body):
+        client = DesignClient(server.url)
+        with pytest.raises(ServerError) as err:
+            client._request("POST", "/v1/design", {"app": "fluid", **body})
         assert err.value.status == 400
 
     def test_design_static_graph_source(self, server):

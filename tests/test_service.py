@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import CacheError, ConfigurationError
@@ -57,6 +58,18 @@ class TestDesignJob:
     def test_bad_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             DesignJob("klt", scale=0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": -1}, {"seed": 1.5}, {"scale": True}, {"scale": 2.0}]
+    )
+    def test_bad_seed_or_scale_rejected_before_running(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            DesignJob("fluid", **kwargs)
+
+    def test_numpy_integers_normalized(self):
+        job = DesignJob("klt", scale=np.int64(2), seed=np.int32(7))
+        assert type(job.scale) is int and type(job.seed) is int
+        assert job.fingerprint() == DesignJob("klt", scale=2, seed=7).fingerprint()
 
     def test_unknown_toggle_rejected(self):
         with pytest.raises(ConfigurationError):

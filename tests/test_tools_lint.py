@@ -73,6 +73,36 @@ def test_r2_allows_from_random_import_random_class():
     assert _findings(lint_repro.check_shared_rng, source) == []
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nx = np.random.rand(3)\n",
+        "import numpy as np\nnp.random.seed(0)\n",
+        "import numpy as np\nx = np.random.normal(0, 4, (8, 8))\n",
+        "import numpy\nx = numpy.random.randint(0, 4)\n",
+        "import numpy as np\nrs = np.random.RandomState(7)\n",
+    ],
+)
+def test_r2_flags_numpy_global_rng(source):
+    found = _findings(lint_repro.check_shared_rng, source)
+    assert [f.rule for f in found] == ["R2"]
+    assert "global RNG" in found[0].message
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy as np\nrng = np.random.default_rng(7)\n",
+        "import numpy\nrng = numpy.random.default_rng(7)\n",
+        "import numpy as np\ng = np.random.Generator(bits)\n",
+        "x = self.rng.normal(0, 4, (8, 8))\n",   # a seeded instance
+        "def f(rng: np.random.Generator):\n    return rng.random()\n",
+    ],
+)
+def test_r2_allows_seeded_numpy_generators(source):
+    assert _findings(lint_repro.check_shared_rng, source) == []
+
+
 # -- R3: float equality ---------------------------------------------------
 @pytest.mark.parametrize(
     "source",
@@ -243,10 +273,11 @@ def test_r7_sim_package_is_clean_on_disk():
 
 
 # -- scoping --------------------------------------------------------------
-def test_determinism_scope_is_sim_and_core_only():
+def test_determinism_scope_is_sim_core_and_apps():
     src = lint_repro.SRC_ROOT
     assert lint_repro._in_deterministic_scope(src / "sim" / "systems.py")
     assert lint_repro._in_deterministic_scope(src / "core" / "designer.py")
+    assert lint_repro._in_deterministic_scope(src / "apps" / "fluid.py")
     assert not lint_repro._in_deterministic_scope(src / "verify" / "generate.py")
     assert not lint_repro._in_deterministic_scope(src / "bench.py")
 

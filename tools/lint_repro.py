@@ -5,14 +5,19 @@ Seven rules, each encoding an invariant the test suite can only probe
 statistically but the AST can prove outright:
 
 * **R1 wall-clock** — no ``time.time()`` / ``time.time_ns()`` /
-  ``datetime.now()`` / ``datetime.utcnow()`` inside ``repro.sim`` or
-  ``repro.core``. The designer and simulator must be deterministic
-  functions of their inputs; wall-clock reads would break replayable
-  fuzz seeds and the byte-identical golden files.
+  ``datetime.now()`` / ``datetime.utcnow()`` inside ``repro.sim``,
+  ``repro.core`` or ``repro.apps``. The designer, the simulator and the
+  profiled applications must be deterministic functions of their
+  inputs; wall-clock reads would break replayable fuzz seeds and the
+  byte-identical golden files (the apps' outputs are frozen byte for
+  byte in ``tests/goldens/app_outputs.json``).
 * **R2 shared RNG** — no module-level ``random.<fn>()`` calls (or
-  ``from random import ...``) inside ``repro.sim`` or ``repro.core``.
+  ``from random import ...``), and no legacy global NumPy RNG calls
+  (``np.random.<fn>()`` / ``numpy.random.<fn>()`` other than
+  ``default_rng`` and ``Generator``), inside the same scopes.
   Randomness must flow through an explicitly seeded
-  ``random.Random(seed)`` instance so every draw is reproducible.
+  ``random.Random(seed)`` or ``np.random.default_rng(seed)`` instance
+  so every draw is reproducible.
 * **R3 float equality** — no ``==`` / ``!=`` against a float literal
   anywhere in ``src/repro``. Analytic-vs-simulated comparisons go
   through the tolerance helpers; literal float equality is a latent
@@ -63,7 +68,7 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 DIGEST_PATH = REPO_ROOT / "tools" / "schema_digest.json"
 
 #: Subpackages under the determinism contract (R1 + R2).
-DETERMINISTIC_SCOPES = ("sim", "core")
+DETERMINISTIC_SCOPES = ("sim", "core", "apps")
 
 #: Subpackages that must not write to stdout (R5) — they report through
 #: the event log / metrics / return values; printing is the CLI's job.
@@ -84,6 +89,11 @@ ENGINE_MODULE = ("sim", "engine.py")
 
 #: Engine attributes that decide same-time ordering (R7).
 ENGINE_PRIVATE = frozenset({"_queue", "_seq", "_batch_remaining"})
+
+#: Prefixes of the legacy process-global NumPy RNG (R2), and the two
+#: constructors under them that build a seeded generator instead.
+NUMPY_RANDOM = ("np.random", "numpy.random")
+NUMPY_SEEDED = frozenset({"default_rng", "Generator"})
 
 #: Dotted-call suffixes that read the wall clock.
 WALL_CLOCK_CALLS = frozenset(
@@ -143,7 +153,7 @@ def _in_engine_client_scope(path: pathlib.Path) -> bool:
     )
 
 
-# -- R1 / R2: determinism of sim + core ----------------------------------
+# -- R1 / R2: determinism of sim, core and apps --------------------------
 def check_wall_clock(path: pathlib.Path, tree: ast.AST) -> Iterator[Finding]:
     """R1: wall-clock reads inside the deterministic scopes."""
     for node in ast.walk(tree):
@@ -162,7 +172,7 @@ def check_wall_clock(path: pathlib.Path, tree: ast.AST) -> Iterator[Finding]:
 
 
 def check_shared_rng(path: pathlib.Path, tree: ast.AST) -> Iterator[Finding]:
-    """R2: the process-global ``random`` RNG inside deterministic scopes."""
+    """R2: the process-global ``random`` / NumPy RNG in deterministic scopes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "random":
             names = ", ".join(alias.name for alias in node.names)
@@ -184,6 +194,16 @@ def check_shared_rng(path: pathlib.Path, tree: ast.AST) -> Iterator[Finding]:
                     "R2", path, node.lineno,
                     f"random.{func.attr}() uses the shared module RNG — "
                     "use a seeded random.Random(seed) instance instead",
+                )
+            elif (
+                isinstance(func, ast.Attribute)
+                and _dotted(func.value) in NUMPY_RANDOM
+                and func.attr not in NUMPY_SEEDED
+            ):
+                yield Finding(
+                    "R2", path, node.lineno,
+                    f"{_dotted(func)}() uses NumPy's global RNG — use a "
+                    "seeded np.random.default_rng(seed) instead",
                 )
 
 
