@@ -19,11 +19,11 @@ rate), so measured behavior can never legitimately beat it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from ..core.commgraph import CommGraph
-from ..core.plan import InterconnectPlan
+from ..core.plan import InterconnectPlan, memory_node
 from ..sim.bus import DEFAULT_BUS_CLOCK
 from ..sim.noc.analysis import NocLoadReport, analyze_noc_load
 from ..sim.noc.mesh import DEFAULT_NOC_CLOCK
@@ -110,7 +110,19 @@ class LaneBounds:
 def lane_bounds(
     plan: InterconnectPlan, params: SystemParams
 ) -> LaneBounds:
-    """Compute every static lane bound for one plan."""
+    """Compute every static lane bound for one plan.
+
+    NoC edges with an unplaced endpoint have no route; they are left
+    out of the link loads (rule ``P009`` reports the missing node).
+    """
+    if plan.noc is not None:
+        placed = plan.noc.placement.positions
+        routable = tuple(
+            e for e in plan.noc.edges
+            if e[0] in placed and memory_node(e[1]) in placed
+        )
+        if routable != plan.noc.edges:
+            plan = replace(plan, noc=replace(plan.noc, edges=routable))
     noc_report = analyze_noc_load(plan)
     link_loads: Dict[LinkKey, int] = (
         dict(noc_report.link_loads) if noc_report is not None else {}

@@ -121,11 +121,16 @@ def build_context(
 ) -> AnalysisContext:
     """Assemble the shared per-plan analysis context."""
     params = params if params is not None else SystemParams()
+    # A link on an edge the graph lacks is P002's finding, not a crash.
+    links = tuple(
+        l for l in plan.sharing
+        if (l.producer, l.consumer) in plan.graph.kk_edges
+    )
     return AnalysisContext(
         plan=plan,
         params=params,
         graph=plan.graph,
-        residual=residual_graph(plan.graph, plan.sharing),
+        residual=residual_graph(plan.graph, links),
         config=config_from_provenance(plan),
         bounds=lane_bounds(plan, params),
         profile=profile,

@@ -1,25 +1,67 @@
 """Plan-family rules (``P…``): findings about Algorithm 1's output.
 
-Each rule re-derives its obligation from first principles — graph
-arithmetic and the paper's formulas, never the production helper that
-made the decision — mirroring the philosophy of
-:mod:`repro.verify.invariants`. Error-severity findings are exactly the
-structural obligations the fuzz oracle enforces; informational findings
-explain what the design costs and where the static bottlenecks are.
+This module is the repo's one postcondition checker for Algorithm 1
+(DESIGN.md §9). Each rule re-derives its obligation from first
+principles — graph arithmetic and the paper's formulas written out with
+``KERNEL_CLOCK`` — and never calls the production helper that made the
+decision, so a bug planted in that helper cannot hide from the rule
+(lint rule R8 keeps this module off ``repro.core``'s decision modules).
+
+Facts from before duplication come from the plan's ``select``
+provenance events (τ, parallelizable and the four D's per original
+kernel); θ, O, the duplication budget and the NoC topology come from
+the ``config`` event. A plan without provenance (a JSON round trip
+drops it) gets the soundness-only subset of each rule. Error-severity
+findings are exactly the obligations the fuzz oracle enforces;
+informational findings explain what the design costs and where the
+static bottlenecks are.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Set, Tuple
+import math
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 from ..core.plan import memory_node
 from ..core.topology import KernelAttach, MemoryAttach, ReceiveClass, SendClass
 from ..hw.device import XC5VFX130T
 from ..hw.resources import ComponentKind, component_cost
 from ..hw.synthesis import PLATFORM_BASE
+from ..obs import provenance as prov
+from ..units import KERNEL_CLOCK
 from .bounds import link_name, relay_edges
 from .diagnostics import Diagnostic, Severity
 from .engine import AnalysisContext, Rule, RuleFn
+
+#: Names of the two copies a duplication puts in place of a kernel.
+_COPY_SUFFIXES = ("#0", "#1")
+
+
+def _close(a: float, b: float) -> bool:
+    """Equal up to float rounding (recorded vs re-derived Δ values)."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-15)
+
+
+def _error(rule: str, path: str, message: str, **evidence: Any) -> Diagnostic:
+    return Diagnostic(rule=rule, severity=Severity.ERROR, path=path,
+                      message=message, evidence=evidence)
+
+
+def _config_float(ctx: AnalysisContext, key: str) -> Optional[float]:
+    """A number from the ``config`` event, ``None`` when unrecorded."""
+    value = ctx.config.get(key)
+    return None if value is None else float(value)
+
+
+def _selected(ctx: AnalysisContext) -> Dict[str, Mapping[str, Any]]:
+    """Per original kernel: the ``select`` event's τ, flags and D's."""
+    return {
+        e.subject: e.detail_map
+        for e in ctx.plan.provenance
+        if e.stage == prov.STAGE_SELECT
+    }
 
 
 def _lane_bandwidth(ctx: AnalysisContext) -> Iterator[Diagnostic]:
@@ -208,6 +250,17 @@ def _mapping_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     for name in sorted(set(plan.mappings) & names):
         m = plan.mappings[name]
         path = f"mappings.{name}"
+        attach = (m.attach_kernel, m.attach_memory)
+        if attach == (KernelAttach.K1, MemoryAttach.M2):
+            yield Diagnostic(
+                rule="P003", severity=Severity.ERROR, path=path,
+                message=(
+                    "infeasible {K1,M2} attachment: the kernel's result "
+                    "would be unreachable from outside the NoC"
+                ),
+                evidence={"attach": [a.name for a in attach]},
+            )
+            continue
         receive, send = _derive_classes(ctx, name)
         if m.receive is not receive or m.send is not send:
             yield Diagnostic(
@@ -218,17 +271,6 @@ def _mapping_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                 ),
                 evidence={"plan": [m.receive.name, m.send.name],
                           "derived": [receive.name, send.name]},
-            )
-            continue
-        attach = (m.attach_kernel, m.attach_memory)
-        if attach == (KernelAttach.K1, MemoryAttach.M2):
-            yield Diagnostic(
-                rule="P003", severity=Severity.ERROR, path=path,
-                message=(
-                    "infeasible {K1,M2} attachment: the kernel's result "
-                    "would be unreachable from outside the NoC"
-                ),
-                evidence={"attach": [a.name for a in attach]},
             )
             continue
         if strict:
@@ -250,6 +292,10 @@ def _mapping_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                 )
     if plan.noc is not None:
         for p, c, _b in plan.noc.edges:
+            # An unmapped endpoint is already reported above (or, when
+            # it is not a kernel at all, as a phantom flow by P006).
+            if p not in plan.mappings or c not in plan.mappings:
+                continue
             for kernel, ok, need in (
                 (p, plan.mappings[p].on_noc, "a NoC port (K2)"),
                 (c, plan.mappings[c].memory_on_noc,
@@ -269,10 +315,25 @@ def _mapping_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
 
 def _duplication_gating(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    plan = ctx.plan
-    names = set(ctx.graph.kernel_names())
+    plan, graph = ctx.plan, ctx.graph
+    names = set(graph.kernel_names())
+    selected = _selected(ctx)
+    overhead = _config_float(ctx, "stream_overhead_s")
     for d in plan.duplications:
         path = f"duplications.{d.kernel}"
+        spec = selected.get(d.kernel)
+        delta = d.delta_dp_seconds
+        if spec is not None and overhead is not None:
+            # Δ_dp = τ/2 − O, with τ of the kernel before duplication.
+            tau = KERNEL_CLOCK.cycles_to_seconds(spec["tau_cycles"])
+            delta = tau / 2.0 - overhead
+            if not _close(delta, d.delta_dp_seconds):
+                yield _error(
+                    "P004", path,
+                    f"recorded Δ_dp={d.delta_dp_seconds!r} s but τ/2 − O "
+                    f"gives {delta!r} s",
+                    recorded_s=d.delta_dp_seconds, derived_s=delta,
+                )
         if not d.applied:
             yield Diagnostic(
                 rule="P004", severity=Severity.INFO, path=path,
@@ -285,26 +346,53 @@ def _duplication_gating(ctx: AnalysisContext) -> Iterator[Diagnostic]:
                           "reason": d.reason},
             )
             continue
-        if d.delta_dp_seconds <= 0:
-            yield Diagnostic(
-                rule="P004", severity=Severity.ERROR, path=path,
-                message=(
-                    f"duplicated {d.kernel!r} with non-positive "
-                    f"Δ_dp={d.slack_us:+.2f} us; the paper duplicates "
-                    "only when τ/2 − O > 0"
-                ),
-                evidence={"kernel": d.kernel,
-                          "delta_dp_seconds": d.delta_dp_seconds},
+        if delta <= 0:
+            yield _error(
+                "P004", path,
+                f"duplicated {d.kernel!r} with non-positive "
+                f"Δ_dp={delta * 1e6:+.2f} us; the paper duplicates only "
+                "when τ/2 − O > 0",
+                kernel=d.kernel, delta_dp_seconds=delta,
             )
-        if d.kernel in names:
-            yield Diagnostic(
-                rule="P004", severity=Severity.ERROR, path=path,
-                message=(
-                    f"duplication of {d.kernel!r} applied but the "
-                    "original kernel is still in the graph"
-                ),
-                evidence={"kernel": d.kernel},
+        if spec is not None and not spec["parallelizable"]:
+            yield _error(
+                "P004", path,
+                f"duplicated {d.kernel!r}, which is not parallelizable",
+                kernel=d.kernel,
             )
+        copies = [d.kernel + sfx for sfx in _COPY_SUFFIXES]
+        if d.kernel in names or not all(c in names for c in copies):
+            yield _error(
+                "P004", path,
+                f"duplication of {d.kernel!r} applied but the graph does "
+                f"not hold its copies {copies} in its place",
+                kernel=d.kernel, copies=copies,
+            )
+    applied = [d.kernel for d in plan.duplications if d.applied]
+    budget = ctx.config.get("max_duplications")
+    if budget is not None and len(applied) > int(budget):
+        yield _error("P004", "duplications",
+                     f"{len(applied)} duplications applied, budget {budget}",
+                     applied=applied, max_duplications=budget)
+    if selected:
+        # Duplication splits work and data across the copies; it must
+        # conserve Σ τ and every byte, host flows included.
+        for what, key, after in (
+            ("Σ τ (cycles)", "tau_cycles",
+             sum(graph.kernel(k).tau_cycles for k in graph.kernel_names())),
+            ("kernel-to-kernel bytes", "d_k_out",
+             sum(graph.kk_edges.values())),
+            ("host input bytes", "d_h_in", sum(graph.host_in.values())),
+            ("host output bytes", "d_h_out", sum(graph.host_out.values())),
+        ):
+            before = sum(s[key] for s in selected.values())
+            if not _close(before, after):
+                yield _error(
+                    "P004", "duplications",
+                    f"{what} changed from {before} before duplication to "
+                    f"{after} in the plan graph",
+                    quantity=what, before=before, after=after,
+                )
     cap = float(ctx.config.get("utilization_cap", 0.85))
     cost = PLATFORM_BASE + component_cost(ComponentKind.BUS)
     for name in ctx.graph.kernel_names():
@@ -438,6 +526,137 @@ def _edge_coverage(ctx: AnalysisContext) -> Iterator[Diagnostic]:
         )
 
 
+def _pipeline_gating(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+    graph = ctx.graph
+    names = set(graph.kernel_names())
+    theta = _config_float(ctx, "theta_s_per_byte")
+    overhead = _config_float(ctx, "stream_overhead_s")
+    for d in ctx.plan.pipeline:
+        edge = f"->{d.consumer}" if d.consumer else ""
+        path = f"pipeline.{d.kernel}{edge}"
+        unknown = [k for k in (d.kernel, d.consumer) if k and k not in names]
+        if unknown:
+            yield _error(
+                "P007", path,
+                f"pipeline decision names unknown kernel(s) {unknown}",
+                unknown=unknown,
+            )
+            continue
+        spec = graph.kernel(d.kernel)
+        tau = KERNEL_CLOCK.cycles_to_seconds(spec.tau_cycles)
+        derived: Optional[float] = None
+        if d.consumer is None:
+            # Case 1: Δ_p1 = min(D^H_in·θ, τ)/2 + min(D^H_out·θ, τ)/2 − O
+            formula, streams = "Δ_p1", spec.streams_host_io
+            if theta is not None and overhead is not None:
+                derived = (
+                    min(graph.d_h_in(d.kernel) * theta, tau) / 2.0
+                    + min(graph.d_h_out(d.kernel) * theta, tau) / 2.0
+                    - overhead
+                )
+        else:
+            # Case 2: Δ_p2 = min(τ_i, τ_j)/2 − O.
+            consumer = graph.kernel(d.consumer)
+            formula, streams = "Δ_p2", consumer.streams_kernel_input
+            if overhead is not None:
+                tau_j = KERNEL_CLOCK.cycles_to_seconds(consumer.tau_cycles)
+                derived = min(tau, tau_j) / 2.0 - overhead
+        if derived is not None and not _close(derived, d.delta_seconds):
+            yield _error(
+                "P007", path,
+                f"recorded {formula}={d.delta_seconds!r} s but the formula "
+                f"gives {derived!r} s",
+                recorded_s=d.delta_seconds, derived_s=derived,
+            )
+        delta = d.delta_seconds if derived is None else derived
+        if d.applied and not (streams and delta > 0):
+            yield _error(
+                "P007", path,
+                f"pipelining applied with streaming={streams} and "
+                f"{formula}={delta * 1e6:+.2f} us; the paper pipelines only a "
+                "streaming-capable kernel with a positive gain",
+                streams=streams, delta_s=delta,
+            )
+
+
+def _provenance_consistency(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+    plan = ctx.plan
+    if not plan.provenance:
+        return
+    placed = {
+        (e.subject, (e.detail_map.get("x"), e.detail_map.get("y")))
+        for e in plan.provenance
+        if e.stage == prov.STAGE_PLACEMENT and e.outcome == "placed"
+    }
+    positions = (
+        set(plan.noc.placement.positions.items()) if plan.noc else set()
+    )
+    if placed != positions:
+        nodes = sorted({node for node, _ in placed ^ positions})
+        yield _error("P008", "provenance.placement",
+                     f"placement events disagree with the plan at {nodes}",
+                     nodes=nodes)
+    logged = [
+        (e.subject, e.outcome == "applied")
+        for e in plan.provenance
+        if e.stage == prov.STAGE_PIPELINE
+        and e.outcome in ("applied", "rejected")
+    ]
+    planned = [
+        (d.kernel + (f"->{d.consumer}" if d.consumer else ""), d.applied)
+        for d in plan.pipeline
+    ]
+    if logged != planned:
+        yield _error(
+            "P008", "provenance.pipeline",
+            f"{len(logged)} pipeline events do not replay the plan's "
+            f"{len(planned)} pipeline decisions",
+            logged=len(logged), planned=len(planned),
+        )
+
+
+def _placement_shape(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+    plan = ctx.plan
+    if plan.noc is None:
+        return
+    placement = plan.noc.placement
+    attached = {m.kernel for m in plan.mappings.values() if m.on_noc} | {
+        memory_node(m.kernel)
+        for m in plan.mappings.values() if m.memory_on_noc
+    }
+    placed = set(placement.positions)
+    if placed != attached:
+        unplaced = sorted(attached - placed)
+        unattached = sorted(placed - attached)
+        yield _error(
+            "P009", "noc.placement",
+            "placed nodes differ from the NoC-attached kernels and memories "
+            f"(unplaced {unplaced}, unattached {unattached})",
+            unplaced=unplaced, unattached=unattached,
+        )
+    n = len(attached)
+    if n:
+        # The smallest near-square mesh: as many rows as fit in a
+        # square, then as few columns as hold every node.
+        height = max(h for h in range(1, n + 1) if h * h <= n)
+        width = -(-n // height)
+        if (placement.width, placement.height) != (width, height):
+            yield _error(
+                "P009", "noc.placement",
+                f"mesh is {placement.width}x{placement.height}, the smallest "
+                f"near-square for {n} nodes is {width}x{height}",
+                nodes=n, width=placement.width, height=placement.height,
+            )
+    topology = ctx.config.get("noc_topology")
+    if topology is not None and placement.torus != (topology == "torus"):
+        yield _error(
+            "P009", "noc.placement",
+            f"placement has torus={placement.torus} but the design ran with "
+            f"topology {topology!r}",
+            torus=placement.torus, topology=topology,
+        )
+
+
 def _wrap(fn: Callable[[AnalysisContext], Iterator[Diagnostic]]) -> RuleFn:
     def run(ctx: AnalysisContext) -> List[Diagnostic]:
         return list(fn(ctx))
@@ -480,5 +699,23 @@ RULES = (
         max_severity=Severity.ERROR,
         description="SM and NoC edges partition the kernel edges exactly",
         fn=_wrap(_edge_coverage),
+    ),
+    Rule(
+        id="P007", name="pipeline-gating", family="plan",
+        max_severity=Severity.ERROR,
+        description="Δ_p1/Δ_p2 re-derived and their streaming gates",
+        fn=_wrap(_pipeline_gating),
+    ),
+    Rule(
+        id="P008", name="provenance-consistency", family="plan",
+        max_severity=Severity.ERROR,
+        description="placement and pipeline events replay the plan",
+        fn=_wrap(_provenance_consistency),
+    ),
+    Rule(
+        id="P009", name="placement-shape", family="plan",
+        max_severity=Severity.ERROR,
+        description="placed nodes, near-square mesh size and topology",
+        fn=_wrap(_placement_shape),
     ),
 )

@@ -29,9 +29,9 @@
 * ``sweep`` — evaluate a parameter grid through the design service
   (``--jobs`` workers, ``--cache-dir`` result reuse, ``--stats``);
 * ``fuzz`` — property-based fuzz campaign over random communication
-  graphs: Algorithm 1 invariants, analytic-vs-simulated differential
-  oracle, metamorphic checks, with ``--shrink`` minimization and a
-  JSON ``--report`` artifact;
+  graphs: Algorithm 1 postconditions (the analyzer's plan rules),
+  analytic-vs-simulated differential oracle, metamorphic checks, with
+  ``--shrink`` minimization and a JSON ``--report`` artifact;
 * ``serve`` — run the networked design service (``repro.server``):
   JSON design/sweep API, SSE streaming sweeps, per-tenant quotas,
   admission control, Prometheus ``/metrics``, graceful SIGTERM drain;

@@ -39,7 +39,6 @@ from .placement import MeshPlacement, place_on_mesh
 from .plan import BillOfMaterials, InterconnectPlan, KernelMapping, NocPlan
 from .designer import DesignConfig, InterconnectDesigner, design_interconnect
 from .analytic import AnalyticModel, SystemTimes
-from .validate import check_plan, validate_plan
 from .whatif import WhatIf, WhatIfOutcome
 
 __all__ = [
@@ -71,8 +70,6 @@ __all__ = [
     "design_interconnect",
     "AnalyticModel",
     "SystemTimes",
-    "validate_plan",
-    "check_plan",
     "WhatIf",
     "WhatIfOutcome",
 ]

@@ -4,8 +4,6 @@ The generative trust layer over Algorithm 1 and the simulator:
 
 * :mod:`~repro.verify.generate` — seeded random, reproducible designer
   inputs (:class:`FuzzSpec`, :func:`generate_case`);
-* :mod:`~repro.verify.invariants` — Algorithm 1 postcondition checks on
-  any :class:`~repro.core.plan.InterconnectPlan` (:func:`check_plan`);
 * :mod:`~repro.verify.oracle` — analytic-vs-simulated differential
   bounds and metamorphic properties;
 * :mod:`~repro.verify.conformance` — byte-exact check of the event
@@ -14,8 +12,11 @@ The generative trust layer over Algorithm 1 and the simulator:
 * :mod:`~repro.verify.harness` — campaign driver through the service
   layer (:func:`run_fuzz`), behind the ``repro fuzz`` CLI.
 
-See DESIGN.md §9 for the invariants, tolerance derivations, and the
-seed-reproduction recipe.
+Algorithm 1's postconditions are checked by one module, the static
+analyzer's plan rules (:func:`repro.analyze.analyze_plan`); the harness
+reports each of its errors under the rule id. See DESIGN.md §9 for the
+kill matrix that justifies each check, the tolerance derivations, and
+the seed-reproduction recipe.
 """
 
 from .conformance import (
@@ -25,7 +26,6 @@ from .conformance import (
 )
 from .generate import FuzzSpec, GeneratedCase, case_rng, generate_case
 from .harness import (
-    STATIC_ANALYSIS,
     FuzzFailure,
     FuzzJob,
     FuzzReport,
@@ -35,8 +35,8 @@ from .harness import (
     run_fuzz,
     run_fuzz_job,
 )
-from .invariants import Violation, check_plan
 from .oracle import (
+    Violation,
     check_host_only_degeneration,
     check_permutation_invariance,
     check_scale_invariance,
@@ -51,7 +51,6 @@ __all__ = [
     "FuzzReport",
     "FuzzSpec",
     "GeneratedCase",
-    "STATIC_ANALYSIS",
     "ShrinkResult",
     "Violation",
     "analyzer_check",
@@ -61,7 +60,6 @@ __all__ = [
     "conformance_sweep",
     "diff_fingerprint",
     "check_permutation_invariance",
-    "check_plan",
     "check_scale_invariance",
     "differential_check",
     "evaluate_case",

@@ -54,7 +54,7 @@ from ..sim.systems import (
 )
 from ..sim.timeline import timeline_digest
 from .generate import FuzzSpec, GeneratedCase, generate_case
-from .invariants import Violation
+from .oracle import Violation
 
 __all__ = [
     "CORPUS_SEED",

@@ -7,9 +7,10 @@ job: it has an ``app`` label and a content :meth:`~FuzzJob.fingerprint`,
 so campaigns enjoy the same result caching, batch coalescing and
 process-pool parallelism as experiment sweeps. The worker entry point
 :func:`run_fuzz_job` generates the case, designs it, and runs the full
-check stack (invariants → differential oracle → metamorphic), returning
-a JSON-safe verdict; it never raises, so deterministic failures are
-reported once instead of burning the executor's retry budget.
+check stack (static analyzer → differential oracle → metamorphic),
+returning a JSON-safe verdict; it never raises, so deterministic
+failures are reported once instead of burning the executor's retry
+budget.
 
 :func:`run_fuzz` drives a whole campaign and (optionally) minimizes each
 failing case in-process with :func:`~repro.verify.shrink.shrink_case`,
@@ -33,8 +34,7 @@ from ..io import FORMAT_VERSION, canonical_json
 from ..obs.trace import Tracer, active
 from ..service.api import DesignService
 from .generate import FuzzSpec, GeneratedCase, generate_case
-from .invariants import Violation, check_plan
-from .oracle import differential_check, metamorphic_checks
+from .oracle import Violation, differential_check, metamorphic_checks
 from .shrink import DEFAULT_BUDGET, shrink_case
 
 #: Document kind of the serialized campaign report.
@@ -43,8 +43,6 @@ REPORT_KIND = "fuzz-report"
 DESIGNER_ERROR = "designer_error"
 #: Check name reported when a checker (not the design) crashes.
 ORACLE_ERROR = "oracle_error"
-#: Check name for error diagnostics from the static analyzer.
-STATIC_ANALYSIS = "static_analysis"
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,13 @@ def analyzer_check(
 
     The analyzer's error severity is reserved for structural
     obligations of Algorithm 1, so any error on a designer-produced
-    plan is a bug — in the designer or in the rule — and the shrinker
-    can minimize it like any other failing check.
+    plan is a bug — in the designer or in the rule. Each violation is
+    named by its rule id (``P002``, ``P007``, ...), so campaign reports
+    and the shrinker tell the failure modes apart.
     """
     report = analyze_plan(plan, params=params)
     return [
-        Violation(
-            STATIC_ANALYSIS,
-            d.path or plan.app,
-            f"{d.rule}: {d.message}",
-        )
+        Violation(d.rule, d.path or plan.app, d.message)
         for d in report.diagnostics
         if d.severity is Severity.ERROR
     ]
@@ -105,7 +100,7 @@ def evaluate_case(case: GeneratedCase) -> List[Violation]:
         plan = design_interconnect(case.label(), case.graph, case.config())
     except ReproError as exc:
         return [Violation(DESIGNER_ERROR, case.label(), str(exc))]
-    violations = check_plan(case.graph, case.config(), plan)
+    violations: List[Violation] = []
     try:
         violations += analyzer_check(plan, case.params)
     except ReproError as exc:
@@ -242,7 +237,7 @@ class FuzzReport:
                     f"    {violation['check']}: {violation['message']}"
                 )
         if self.ok:
-            lines.append("  all invariant, differential and metamorphic checks held")
+            lines.append("  all analyzer, differential and metamorphic checks held")
         return "\n".join(lines)
 
 

@@ -34,7 +34,10 @@ parameters and the timing model's structure, never a magic constant
     the designed system does not regress the baseline beyond the
     explainable slack: 10 % scheduling margin plus, per NoC edge, the
     amount by which an under-provisioned NoC is genuinely slower than
-    the two bus trips the baseline used.
+    the two bus trips the baseline used;
+``analytic_bounds``
+    the analytic proposed computation is at least half the baseline's
+    and its communication is non-negative (the model's clamps).
 
 Metamorphic checks (:func:`metamorphic_checks`) re-design transformed
 inputs and compare structures: byte-count scale invariance (duplication
@@ -46,8 +49,8 @@ the pure bus baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.analytic import AnalyticModel
 from ..core.commgraph import CommGraph
@@ -64,7 +67,6 @@ from ..sim.systems import (
 )
 from ..units import HOST_CLOCK
 from .generate import GeneratedCase
-from .invariants import Violation
 
 #: Relative slack on every derived bound (floating-point headroom).
 REL_EPS = 1e-9
@@ -72,6 +74,27 @@ REL_EPS = 1e-9
 BASELINE_MARGIN = 0.10
 #: Byte multiplier used by the scale-invariance metamorphic check.
 SCALE_FACTOR = 3
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed check on one fuzz case.
+
+    ``check`` names the failure mode — an oracle check name below, an
+    analyzer rule id (``P002``, ...) or a harness outcome — and is what
+    the shrinker keeps constant while it minimizes.
+    """
+
+    check: str
+    subject: str
+    message: str
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {"check": self.check, "subject": self.subject,
+                "message": self.message}
+
+    def __str__(self) -> str:
+        return f"[{self.check}] {self.subject}: {self.message}"
 
 
 class _Collector:
@@ -304,6 +327,19 @@ def differential_check(
         "proposed_vs_baseline", case.label(),
         f"proposed {sim_prop.kernels_s!r}s exceeds baseline "
         f"{sim_base.kernels_s!r}s plus explainable slack {allowed!r}s",
+    )
+
+    # 7. The analytic proposed system keeps the model's stated bounds:
+    #    duplication and chain pipelining at best halve the computation,
+    #    and no saving makes communication negative.
+    an_prop = model.proposed(plan)
+    c.ensure(
+        an_prop.computation_s >= an_base.computation_s / 2.0 - eps
+        and an_prop.communication_s >= 0.0,
+        "analytic_bounds", case.label(),
+        f"analytic proposed computation {an_prop.computation_s!r}s "
+        f"(floor {an_base.computation_s / 2.0!r}s) or communication "
+        f"{an_prop.communication_s!r}s (floor 0s) below its floor",
     )
     return c.violations
 

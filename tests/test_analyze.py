@@ -361,6 +361,39 @@ class TestPlanRules:
         )
 
 
+    def test_p007_rederives_delta_only_with_provenance(self, designed):
+        from repro.io import plan_from_dict, plan_to_dict
+
+        plan, params = designed["canny"]
+        d = plan.pipeline[0]
+        tampered = dataclasses.replace(
+            plan,
+            pipeline=(
+                dataclasses.replace(d, delta_seconds=d.delta_seconds + 1e-6),
+            ) + plan.pipeline[1:],
+        )
+        found = analyze_plan(tampered, params).by_rule("P007")
+        assert [x.severity for x in found] == [Severity.ERROR]
+        assert "formula gives" in found[0].message
+        # θ and O come from the config event; without provenance the
+        # formula check has nothing to re-derive from.
+        stripped = plan_from_dict(plan_to_dict(tampered))
+        assert analyze_plan(stripped, params).by_rule("P007") == ()
+
+    def test_p009_torus_flag_must_match_the_config(self, designed):
+        plan, params = designed["canny"]
+        assert plan.noc is not None and not plan.noc.placement.torus
+        tampered = dataclasses.replace(
+            plan,
+            noc=dataclasses.replace(
+                plan.noc,
+                placement=dataclasses.replace(plan.noc.placement, torus=True),
+            ),
+        )
+        found = analyze_plan(tampered, params).by_rule("P009")
+        assert len(found) == 1 and "topology 'mesh'" in found[0].message
+
+
 class TestNocRules:
     def test_n002_reports_load_balance(self, designed):
         plan, params = designed["canny"]
@@ -520,7 +553,7 @@ class TestIntegrations:
         assert run_experiment("klt").lint is None
 
     def test_analyzer_check_feeds_the_fuzz_oracle(self, designed):
-        from repro.verify import STATIC_ANALYSIS, analyzer_check
+        from repro.verify import analyzer_check
 
         plan, params = designed["canny"]
         assert analyzer_check(plan, params) == []
@@ -534,7 +567,8 @@ class TestIntegrations:
         )
         violations = analyzer_check(tampered, params)
         assert violations
-        assert all(v.check == STATIC_ANALYSIS for v in violations)
+        # Each violation is named by the rule that found it.
+        assert {v.check for v in violations} == {"P006"}
 
     def test_service_persists_lint_reports(self, tmp_path):
         from repro.service import DesignService

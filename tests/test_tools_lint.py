@@ -272,6 +272,59 @@ def test_r7_sim_package_is_clean_on_disk():
             assert list(lint_repro.check_engine_privacy(path, tree)) == []
 
 
+# -- R8: checker independence ----------------------------------------------
+CHECKER = lint_repro.SRC_ROOT / "analyze" / "rules_plan.py"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from ..core.mapping import adaptive_map\n",
+        "from ..core.sharing import residual_graph\n",
+        "from ..core.parallel import PipelineCase, delta_p1_seconds\n",
+        "from ..core.duplication import DUP_SUFFIXES\n",
+        "from ..core.placement import mesh_dimensions\n",
+        "from ..core import placement\n",
+        "from repro.core.mapping import ADAPTIVE_MAPPING\n",
+        "import repro.core.sharing\n",
+    ],
+)
+def test_r8_flags_checked_decision_imports(source):
+    found = _findings(lint_repro.check_checker_independence, source, CHECKER)
+    assert len(found) == 1
+    assert found[0].rule == "R8"
+    assert "re-derive" in found[0].message
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from ..core.plan import memory_node\n",
+        "from ..core.topology import KernelAttach, ReceiveClass\n",
+        "from ..units import KERNEL_CLOCK\n",
+        "from ..obs import provenance as prov\n",
+        "from ..core import plan, topology\n",
+        "import repro.core.mapping_notes\n",   # prefix, not the module
+    ],
+)
+def test_r8_allows_data_types_and_units(source):
+    assert _findings(
+        lint_repro.check_checker_independence, source, CHECKER
+    ) == []
+
+
+def test_r8_scope_is_the_plan_rules_only():
+    src = lint_repro.SRC_ROOT
+    assert lint_repro._is_checker(src / "analyze" / "rules_plan.py")
+    assert not lint_repro._is_checker(src / "analyze" / "engine.py")
+    assert not lint_repro._is_checker(src / "core" / "designer.py")
+
+
+def test_r8_checker_is_clean_on_disk():
+    tree = ast.parse(CHECKER.read_text(), filename=str(CHECKER))
+    assert list(lint_repro.check_checker_independence(CHECKER, tree)) == []
+
+
 # -- scoping --------------------------------------------------------------
 def test_determinism_scope_is_sim_core_and_apps():
     src = lint_repro.SRC_ROOT

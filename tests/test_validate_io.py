@@ -1,16 +1,18 @@
-"""Tests for plan validation and JSON serialization."""
+"""Tests for plan validation (the analyzer's plan rules) and JSON
+serialization."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
 
+from repro.analyze import Severity, analyze_plan
 from repro.core import CommGraph, DesignConfig, KernelSpec, design_interconnect
 from repro.core.plan import InterconnectPlan, KernelMapping
 from repro.core.sharing import SharedMemoryLink
 from repro.core.topology import KernelAttach, MemoryAttach, ReceiveClass, SendClass
-from repro.core.validate import check_plan, validate_plan
 from repro.errors import ConfigurationError, DesignError
 from repro.io import (
     graph_from_dict,
@@ -47,15 +49,74 @@ def sample_plan():
     )
 
 
+def errors(plan):
+    """The analyzer's error diagnostics on ``plan``."""
+    return analyze_plan(plan).at_least(Severity.ERROR)
+
+
+def _drop_noc_endpoint_mapping(d):
+    producer = d["noc"]["edges"][0]["producer"]
+    d["mappings"] = [m for m in d["mappings"] if m["kernel"] != producer]
+
+
+def _noc_edge_from_unknown_kernel(d):
+    consumer = d["noc"]["edges"][0]["consumer"]
+    d["noc"]["edges"].append(
+        {"producer": "ghost", "consumer": consumer, "bytes": 64}
+    )
+
+
+def _sharing_with_unknown_endpoint(d):
+    d["sharing"].append(
+        {"producer": "ghost", "consumer": "phantom", "bytes": 64,
+         "crossbar": False}
+    )
+
+
+def _placement_missing_a_node(d):
+    del d["noc"]["positions"][next(iter(d["noc"]["positions"]))]
+
+
+def _duplication_of_unknown_kernel(d):
+    d["duplications"].append(
+        {"kernel": "ghost", "delta_dp_seconds": 1e-3, "applied": True,
+         "reason": "applied"}
+    )
+
+
+def _pipeline_on_unknown_kernel(d):
+    d["pipeline"].append(
+        {"case": "case2", "kernel": "ghost", "consumer": "phantom",
+         "delta_seconds": 1e-3, "applied": True, "reason": "applied"}
+    )
+
+
 class TestValidate:
     def test_designer_plans_are_valid(self, all_results):
         for r in all_results.values():
-            assert validate_plan(r.plan) == []
-            assert validate_plan(r.noc_only_plan) == []
-            check_plan(r.plan)  # does not raise
+            assert errors(r.plan) == ()
+            assert errors(r.noc_only_plan) == ()
 
     def test_fuzz_style_plan_valid(self):
-        assert validate_plan(sample_plan()) == []
+        assert errors(sample_plan()) == ()
+
+    @pytest.mark.parametrize(
+        "tamper,rule",
+        [
+            (_drop_noc_endpoint_mapping, "P003"),
+            (_noc_edge_from_unknown_kernel, "P006"),
+            (_sharing_with_unknown_endpoint, "P002"),
+            (_placement_missing_a_node, "P009"),
+            (_duplication_of_unknown_kernel, "P004"),
+            (_pipeline_on_unknown_kernel, "P007"),
+        ],
+    )
+    def test_tampered_json_plan_is_an_error_not_a_crash(self, tamper, rule):
+        data = plan_to_dict(sample_plan())
+        tampered = copy.deepcopy(data)
+        tamper(tampered)
+        plan = plan_from_dict(tampered)  # the loader accepts the shape
+        assert rule in {d.rule for d in errors(plan)}
 
     def test_infeasible_mapping_detected(self):
         plan = sample_plan()
@@ -69,10 +130,10 @@ class TestValidate:
             attach_memory=MemoryAttach.M2,
         )
         broken = dataclasses.replace(plan, mappings=bad)
-        problems = validate_plan(broken)
-        assert any("infeasible" in p for p in problems)
-        with pytest.raises(DesignError):
-            check_plan(broken)
+        assert any(
+            d.rule == "P003" and "infeasible" in d.message
+            for d in errors(broken)
+        )
 
     def test_non_exclusive_sharing_detected(self):
         plan = sample_plan()
@@ -81,8 +142,10 @@ class TestValidate:
             plan,
             sharing=(SharedMemoryLink("p", "d", 500, crossbar=True),),
         )
-        problems = validate_plan(broken)
-        assert any("not an exclusive pair" in p for p in problems)
+        assert any(
+            d.rule == "P002" and "not exclusive" in d.message
+            for d in errors(broken)
+        )
 
     def test_missing_crossbar_detected(self):
         ks = {
@@ -94,12 +157,15 @@ class TestValidate:
         plan = design_interconnect(
             "x", g, DesignConfig(theta_s_per_byte=THETA)
         )
-        assert validate_plan(plan) == []
+        assert errors(plan) == ()
         broken = dataclasses.replace(
             plan,
             sharing=(SharedMemoryLink("a", "b", 100, crossbar=False),),
         )
-        assert any("no crossbar" in p for p in validate_plan(broken))
+        assert any(
+            d.rule == "P002" and "missing crossbar" in d.message
+            for d in errors(broken)
+        )
 
     def test_uncovered_edge_detected(self):
         plan = sample_plan()
@@ -108,8 +174,11 @@ class TestValidate:
             plan.noc, edges=plan.noc.edges[:-1]
         )
         broken = dataclasses.replace(plan, noc=chopped)
-        assert any("neither shared memory nor NoC" in p
-                   for p in validate_plan(broken))
+        assert any(
+            d.rule == "P006" and "neither a shared memory nor the NoC"
+            in d.message
+            for d in errors(broken)
+        )
 
 
 class TestProfileRoundTrip:
@@ -165,7 +234,7 @@ class TestPlanRoundTrip:
 
     def test_roundtripped_plan_validates(self):
         plan = sample_plan()
-        assert validate_plan(plan_from_dict(plan_to_dict(plan))) == []
+        assert errors(plan_from_dict(plan_to_dict(plan))) == ()
 
     def test_roundtrip_paper_plans(self, all_results):
         for r in all_results.values():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific AST lint rules, run in CI ahead of the test suite.
 
-Seven rules, each encoding an invariant the test suite can only probe
+Eight rules, each encoding an invariant the test suite can only probe
 statistically but the AST can prove outright:
 
 * **R1 wall-clock** — no ``time.time()`` / ``time.time_ns()`` /
@@ -46,6 +46,12 @@ statistically but the AST can prove outright:
   through ``schedule``, ``call_soon`` and the fusion calls. The rule is
   scoped to ``repro.sim`` because unrelated classes (the event log in
   ``repro.obs.runtime``) have a ``_seq`` of their own.
+* **R8 checker independence** — ``repro/analyze/rules_plan.py`` may not
+  import from ``repro.core.{mapping,sharing,parallel,duplication,
+  placement}``. Those modules make Algorithm 1's decisions, and the plan
+  rules check them: a rule that imports the helper it checks is blind
+  to a bug in that helper. Data types from ``repro.core.plan`` and
+  ``repro.core.topology`` and the ``repro.units`` clocks stay allowed.
 
 Usage::
 
@@ -89,6 +95,14 @@ ENGINE_MODULE = ("sim", "engine.py")
 
 #: Engine attributes that decide same-time ordering (R7).
 ENGINE_PRIVATE = frozenset({"_queue", "_seq", "_batch_remaining"})
+
+#: The Algorithm 1 checker (R8), and the decision modules it re-derives
+#: instead of importing.
+CHECKER_MODULE = ("analyze", "rules_plan.py")
+CHECKED_IMPORTS = tuple(
+    f"repro.core.{name}"
+    for name in ("mapping", "sharing", "parallel", "duplication", "placement")
+)
 
 #: Prefixes of the legacy process-global NumPy RNG (R2), and the two
 #: constructors under them that build a seeded generator instead.
@@ -325,6 +339,44 @@ def check_engine_privacy(
             )
 
 
+# -- R8: checker independence ---------------------------------------------
+def _is_checker(path: pathlib.Path) -> bool:
+    return path.relative_to(SRC_ROOT).parts == CHECKER_MODULE
+
+
+def _checked(dotted: str) -> bool:
+    return any(
+        dotted == bad or dotted.startswith(bad + ".")
+        for bad in CHECKED_IMPORTS
+    )
+
+
+def check_checker_independence(
+    path: pathlib.Path, tree: ast.AST
+) -> Iterator[Finding]:
+    """R8: the plan rules importing the decision code they check."""
+    message = (
+        "— the Algorithm 1 checker must re-derive what it checks; an "
+        "imported helper hides its own bugs"
+    )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = _resolve_import_from(path, node)
+            targets = [base] + [
+                f"{base}.{alias.name}" if base else alias.name
+                for alias in node.names
+            ]
+        else:
+            continue
+        bad = next((t for t in targets if _checked(t)), None)
+        if bad is not None:
+            yield Finding(
+                "R8", path, node.lineno, f"import of {bad} {message}"
+            )
+
+
 # -- R4: serialized-schema digest ----------------------------------------
 def _schema_keys(node: ast.Dict) -> List[str]:
     keys: List[str] = []
@@ -424,6 +476,8 @@ def run_lint(
             findings.extend(check_static_purity(path, tree))
         if _in_engine_client_scope(path):
             findings.extend(check_engine_privacy(path, tree))
+        if _is_checker(path):
+            findings.extend(check_checker_independence(path, tree))
         findings.extend(check_float_equality(path, tree))
     findings.extend(check_schema_drift(collect_schemas(files), digest_path))
     return sorted(findings, key=lambda f: (f.rule, str(f.path), f.line))
