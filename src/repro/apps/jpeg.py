@@ -81,134 +81,145 @@ def idct2(coef: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Entropy coding: unary size-category + amplitude bits (a simplified but
-# genuine prefix code with JPEG's category/amplitude structure).
+# genuine prefix code with JPEG's category/amplitude structure). Both
+# directions work on whole arrays; only the decoder's scan for the zero
+# that ends each unary field is serial.
 # --------------------------------------------------------------------------
-class BitWriter:
-    """Append-only bit stream, kept as ``'0'``/``'1'`` string pieces."""
-
-    def __init__(self) -> None:
-        self.pieces: List[str] = []
-
-    def write(self, value: int, nbits: int) -> None:
-        """Write the low ``nbits`` of ``value``, MSB first."""
-        self.pieces.append(bin((1 << nbits) | (value & ((1 << nbits) - 1)))[3:])
-
-    def write_unary(self, n: int) -> None:
-        """``n`` ones followed by a zero."""
-        self.pieces.append("1" * n + "0")
-
-    def to_bytes(self) -> np.ndarray:
-        """Pack to a uint8 array (zero padded)."""
-        bits = np.frombuffer("".join(self.pieces).encode("ascii"), np.uint8)
-        return np.packbits(bits - ord("0"))
+def _pack_fields(
+    nbits: int, starts: np.ndarray, widths: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Pack an ``nbits`` stream of zeros, except that the low ``widths[i]``
+    bits of ``values[i]`` sit MSB first at ``starts[i]`` (−1: all ones)."""
+    first = np.repeat(np.cumsum(widths) - widths, widths)
+    j = np.arange(first.size) - first  # bit index within its field
+    bits = np.zeros(nbits, dtype=np.uint8)
+    bits[np.repeat(starts, widths) + j] = (
+        np.repeat(values, widths) >> (np.repeat(widths - 1, widths) - j)
+    ) & 1
+    return np.packbits(bits)
 
 
-class BitReader:
-    """Sequential bit-stream reader over a uint8 array."""
-
-    def __init__(self, data: np.ndarray) -> None:
-        bits = np.unpackbits(np.asarray(data, dtype=np.uint8)) + ord("0")
-        self.bits = bits.tobytes().decode("ascii")
-        self.pos = 0
-
-    def read(self, nbits: int) -> int:
-        """Read ``nbits`` MSB-first."""
-        end = self.pos + nbits
-        if end > len(self.bits):
-            raise ConfigurationError("bitstream underrun")
-        value = int(self.bits[self.pos : end] or "0", 2)
-        self.pos = end
-        return value
-
-    def read_unary(self) -> int:
-        """Count ones until the terminating zero."""
-        end = self.bits.find("0", self.pos)
-        if end < 0:
-            raise ConfigurationError("bitstream underrun")
-        n = end - self.pos
-        self.pos = end + 1
-        return n
+def _categorize(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """JPEG size category (bit length of |v|) and one's-complement amplitude."""
+    v = np.asarray(values, dtype=np.int64)
+    cat = np.frexp(np.abs(v))[1].astype(np.int64)
+    return cat, np.where(v < 0, v + (1 << cat) - 1, v)
 
 
-def _category(value: int) -> int:
-    """JPEG size category: bit length of |value|."""
-    return int(abs(value)).bit_length()
+def _bit_string(stream: np.ndarray) -> str:
+    return (np.unpackbits(stream) + ord("0")).tobytes().decode("ascii")
 
 
-def _encode_amplitude(writer: BitWriter, value: int, cat: int) -> None:
-    if cat == 0:
-        return
-    if value < 0:  # one's-complement style negative coding, as in JPEG
-        value = value + (1 << cat) - 1
-    writer.write(value, cat)
+def _amplitudes(stream: np.ndarray, start: np.ndarray, cat: np.ndarray) -> np.ndarray:
+    """The value coded by the ``cat`` amplitude bits at each ``start``."""
+    if np.any(cat > 16):  # more than |−32768|'s 16 bits
+        raise ConfigurationError("coefficient out of range")
+    # A field of at most 16 bits lies within 3 bytes of its first.
+    data = np.append(stream, np.zeros(3, np.uint8)).astype(np.int64)
+    byte = start >> 3
+    word = (data[byte] << 16) | (data[byte + 1] << 8) | data[byte + 2]
+    raw = (word >> (24 - (start & 7) - cat)) & ((1 << cat) - 1)
+    return np.where(raw < (1 << cat) >> 1, raw - (1 << cat) + 1, raw)
 
 
-def _decode_amplitude(reader: BitReader, cat: int) -> int:
-    if cat == 0:
-        return 0
-    raw = reader.read(cat)
-    if raw < (1 << (cat - 1)):  # negative range
-        return raw - (1 << cat) + 1
-    return raw
+def _int16(values: np.ndarray) -> np.ndarray:
+    """``values`` as int16, refusing any that int16 cannot hold."""
+    if values.size and not -32768 <= values.min() <= values.max() <= 32767:
+        raise ConfigurationError("coefficient out of range")
+    return values.astype(np.int16)
 
 
 def encode_dc(dc_values: np.ndarray) -> np.ndarray:
     """Differential DC encoding of all blocks into one bitstream."""
-    writer = BitWriter()
-    prev = 0
-    for dc in dc_values:
-        diff = int(dc) - prev
-        prev = int(dc)
-        cat = _category(diff)
-        writer.write_unary(cat)
-        _encode_amplitude(writer, diff, cat)
-    return writer.to_bytes()
+    cat, amp = _categorize(np.diff(np.asarray(dc_values, np.int64), prepend=0))
+    size = 2 * cat + 1  # unary(cat), then the amplitude
+    unary = np.cumsum(size) - size
+    return _pack_fields(
+        int(size.sum()),
+        np.concatenate([unary, unary + cat + 1]),
+        np.concatenate([cat, cat]),
+        np.concatenate([np.full_like(cat, -1), amp]),
+    )
 
 
 def decode_dc(stream: np.ndarray, n_blocks: int) -> np.ndarray:
     """Inverse of :func:`encode_dc`."""
-    reader = BitReader(stream)
-    out = np.zeros(n_blocks, dtype=np.int16)
-    prev = 0
-    for i in range(n_blocks):
-        cat = reader.read_unary()
-        prev += _decode_amplitude(reader, cat)
-        out[i] = prev
-    return out
+    stream = np.asarray(stream, dtype=np.uint8)
+    bits = _bit_string(stream)
+    starts, zeros, pos = [], [], 0
+    for _ in range(n_blocks):
+        zero = bits.find("0", pos)
+        if zero < 0:
+            raise ConfigurationError("bitstream underrun")
+        starts.append(pos)
+        zeros.append(zero)
+        pos = 2 * zero - pos + 1  # then zero − pos amplitude bits
+    if pos > len(bits):
+        raise ConfigurationError("bitstream underrun")
+    zero = np.array(zeros, dtype=np.int64)
+    diffs = _amplitudes(stream, zero + 1, zero - np.array(starts, dtype=np.int64))
+    return _int16(np.cumsum(diffs))
 
 
 def encode_ac(ac_blocks: np.ndarray) -> np.ndarray:
-    """Run-length + category coding of the 63 AC coefficients per block."""
-    writer = BitWriter()
-    for block in ac_blocks:
-        prev = -1
-        for pos in np.flatnonzero(block).tolist():
-            coef = int(block[pos])
-            writer.write_unary(pos - prev - 1)  # zero run before coef
-            cat = _category(coef)
-            writer.write_unary(cat)
-            _encode_amplitude(writer, coef, cat)
-            prev = pos
-        writer.write_unary(63)  # EOB marker (impossible run value)
-    return writer.to_bytes()
+    """Run-length + category coding of the 63 AC coefficients per block.
+
+    Each nonzero is unary(zero run before it), unary(category) and the
+    amplitude; each block ends with unary(63), an impossible run (EOB).
+    """
+    n = len(ac_blocks)
+    blk, pos = np.nonzero(ac_blocks)
+    cat, amp = _categorize(ac_blocks[blk, pos])
+    prev = np.where(np.diff(blk, prepend=-1) == 0, np.roll(pos, 1), -1)
+    run = pos - prev - 1
+    size = run + 2 * cat + 2
+    ends = np.cumsum(size)
+    start = ends - size + 64 * blk  # after every earlier block's EOB
+    in_blocks = np.cumsum(np.bincount(blk, minlength=n))
+    eob = np.append(0, ends)[in_blocks] + 64 * np.arange(n)
+    ones = np.full(2 * blk.size + n, -1)
+    return _pack_fields(
+        64 * n + int(size.sum()),
+        np.concatenate([start, start + run + 1, eob, start + run + cat + 2]),
+        np.concatenate([run, cat, np.full(n, 63), cat]),
+        np.concatenate([ones, amp]),
+    )
 
 
 def decode_ac(stream: np.ndarray, n_blocks: int) -> np.ndarray:
     """Inverse of :func:`encode_ac`."""
-    reader = BitReader(stream)
+    stream = np.asarray(stream, dtype=np.uint8)
+    bits = _bit_string(stream)
+    # The zeros ending each symbol's run and category fields (an EOB has
+    # no category field: −1), in stream order, up to an underrun.
+    z1s, z2s, pos, blocks = [], [], 0, 0
+    while blocks < n_blocks:
+        z1 = bits.find("0", pos)
+        if z1 - pos == 63:  # EOB
+            z1s.append(z1)
+            z2s.append(-1)
+            pos, blocks = z1 + 1, blocks + 1
+            continue
+        z2 = bits.find("0", z1 + 1) if z1 >= 0 else -1
+        if z2 < 0:
+            break
+        z1s.append(z1)
+        z2s.append(z2)
+        pos = 2 * z2 - z1  # then z2 − z1 − 1 amplitude bits
+    z1, z2 = np.array(z1s, dtype=np.int64), np.array(z2s, dtype=np.int64)
+    eob = z2 < 0
+    start = np.append(0, np.where(eob, z1 + 1, 2 * z2 - z1)[:-1])
+    blk = (np.cumsum(eob) - eob)[~eob]
+    z1, z2, step = z1[~eob], z2[~eob], (z1 - start + 1)[~eob]  # run + 1
+    ends = np.cumsum(step)
+    zz = ends - (ends - step)[np.searchsorted(blk, blk)] - 1  # restart per block
+    # A serial parser meets a run past position 62 before a later underrun.
+    if np.any(zz >= 63):
+        raise ConfigurationError("AC run overflow")
+    if blocks < n_blocks:
+        raise ConfigurationError("bitstream underrun")
     out = np.zeros((n_blocks, 63), dtype=np.int16)
-    for b in range(n_blocks):
-        pos = 0
-        while True:
-            run = reader.read_unary()
-            if run == 63:  # EOB
-                break
-            pos += run
-            cat = reader.read_unary()
-            if pos >= 63:
-                raise ConfigurationError("AC run overflow")
-            out[b, pos] = _decode_amplitude(reader, cat)
-            pos += 1
+    out[blk, zz] = _int16(_amplitudes(stream, z2 + 1, z2 - z1 - 1))
     return out
 
 

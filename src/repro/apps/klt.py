@@ -38,7 +38,7 @@ def smooth_noise(rng: np.random.Generator, n: int, octaves: int = 3) -> np.ndarr
     for o in range(octaves):
         step = 2 ** (octaves - o + 1)
         coarse = rng.standard_normal((n // step + 2, n // step + 2))
-        up = np.kron(coarse, np.ones((step, step)))[:n, :n]
+        up = coarse.repeat(step, 0).repeat(step, 1)[:n, :n]
         img += up * (2.0 ** -o)
     img -= img.min()
     return 255.0 * img / img.max()
@@ -57,6 +57,26 @@ def bilinear_sample(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarr
         + img[y0, x0 + 1] * (1 - fy) * fx
         + img[y0 + 1, x0] * fy * (1 - fx)
         + img[y0 + 1, x0 + 1] * fy * fx
+    )
+
+
+def shift_frame(img: np.ndarray, dy: float, dx: float) -> np.ndarray:
+    """``img`` moved by (dy, dx): :func:`bilinear_sample` over the whole
+    grid at ``(row − dy, col − dx)``, whose rows share ``y0``/``fy`` and
+    whose columns share ``x0``/``fx``, so rows and columns are gathered
+    separately. Each term keeps ``(v·(1−fy))·(1−fx)``: the same bytes."""
+    h, w = img.shape
+    ys = np.clip(np.arange(h) - dy, 0, h - 1.001)
+    xs = np.clip(np.arange(w) - dx, 0, w - 1.001)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    fy, fx = (ys - y0)[:, None], xs - x0
+    top, bottom = img[y0], img[y0 + 1]
+    return (
+        top[:, x0] * (1 - fy) * (1 - fx)
+        + top[:, x0 + 1] * (1 - fy) * fx
+        + bottom[:, x0] * fy * (1 - fx)
+        + bottom[:, x0 + 1] * fy * fx
     )
 
 
@@ -133,10 +153,9 @@ class KltApp(Application):
     def execute(self, tracer: Tracer, space: AddressSpace) -> None:
         n = self.size
         frame1 = smooth_noise(self.rng, n)
-        ys, xs = np.mgrid[0:n, 0:n]
         # Sampling frame1 at (p - shift) moves the content by +shift, so
         # features tracked from frame1 into frame2 displace by TRUE_SHIFT.
-        frame2 = bilinear_sample(frame1, ys - TRUE_SHIFT[0], xs - TRUE_SHIFT[1])
+        frame2 = shift_frame(frame1, *TRUE_SHIFT)
 
         img1 = space.alloc("img1", (n, n), np.float32)
         img2 = space.alloc("img2", (n, n), np.float32)

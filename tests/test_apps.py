@@ -29,7 +29,7 @@ from repro.apps.fluid import (
     project_fields,
 )
 from repro.apps.jpeg import (
-    BitReader,
+    JpegApp,
     decode_ac,
     decode_dc,
     encode_ac,
@@ -43,6 +43,7 @@ from repro.apps.klt import (
     bilinear_sample,
     central_gradients,
     lk_track,
+    shift_frame,
     smooth_noise,
 )
 from repro.apps.registry import APP_NAMES
@@ -95,6 +96,145 @@ class TestCannyPrimitives:
         assert edges[1, 1] == 0
 
 
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+class RefBitWriter:
+    """Reference: the per-symbol bit writer the JPEG coder replaced."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, value, nbits):
+        self.pieces.append(bin((1 << nbits) | (value & ((1 << nbits) - 1)))[3:])
+
+    def write_unary(self, n):
+        self.pieces.append("1" * n + "0")
+
+    def to_bytes(self):
+        bits = np.frombuffer("".join(self.pieces).encode("ascii"), np.uint8)
+        return np.packbits(bits - ord("0"))
+
+
+class RefBitReader:
+    """Reference: the per-symbol bit reader the JPEG coder replaced."""
+
+    def __init__(self, data):
+        bits = np.unpackbits(np.asarray(data, dtype=np.uint8)) + ord("0")
+        self.bits = bits.tobytes().decode("ascii")
+        self.pos = 0
+
+    def read(self, nbits):
+        end = self.pos + nbits
+        if end > len(self.bits):
+            raise ConfigurationError("bitstream underrun")
+        value = int(self.bits[self.pos : end] or "0", 2)
+        self.pos = end
+        return value
+
+    def read_unary(self):
+        end = self.bits.find("0", self.pos)
+        if end < 0:
+            raise ConfigurationError("bitstream underrun")
+        n = end - self.pos
+        self.pos = end + 1
+        return n
+
+
+def ref_category(value):
+    return abs(value).bit_length()
+
+
+def ref_encode_amplitude(writer, value, cat):
+    if cat:
+        writer.write(value + (1 << cat) - 1 if value < 0 else value, cat)
+
+
+def ref_decode_amplitude(reader, cat):
+    if cat == 0:
+        return 0
+    raw = reader.read(cat)
+    return raw - (1 << cat) + 1 if raw < (1 << (cat - 1)) else raw
+
+
+def ref_encode_dc(dc_values):
+    """Reference: ``jpeg.encode_dc`` one symbol at a time."""
+    writer, prev = RefBitWriter(), 0
+    for dc in dc_values.tolist():
+        cat = ref_category(dc - prev)
+        writer.write_unary(cat)
+        ref_encode_amplitude(writer, dc - prev, cat)
+        prev = dc
+    return writer.to_bytes()
+
+
+def ref_decode_dc(stream, n_blocks):
+    """Reference: ``jpeg.decode_dc`` one symbol at a time. A value outside
+    int16 raises NumPy's ``OverflowError`` on the store."""
+    reader, out, prev = RefBitReader(stream), np.zeros(n_blocks, np.int16), 0
+    for i in range(n_blocks):
+        prev += ref_decode_amplitude(reader, reader.read_unary())
+        out[i] = prev
+    return out
+
+
+def ref_encode_ac(ac_blocks):
+    """Reference: ``jpeg.encode_ac`` one symbol at a time."""
+    writer = RefBitWriter()
+    for block in ac_blocks:
+        prev = -1
+        for pos in np.flatnonzero(block).tolist():
+            coef = int(block[pos])
+            writer.write_unary(pos - prev - 1)
+            cat = ref_category(coef)
+            writer.write_unary(cat)
+            ref_encode_amplitude(writer, coef, cat)
+            prev = pos
+        writer.write_unary(63)
+    return writer.to_bytes()
+
+
+def ref_decode_ac(stream, n_blocks):
+    """Reference: ``jpeg.decode_ac`` one symbol at a time."""
+    reader = RefBitReader(stream)
+    out = np.zeros((n_blocks, 63), dtype=np.int16)
+    for b in range(n_blocks):
+        pos = 0
+        while True:
+            run = reader.read_unary()
+            if run == 63:
+                break
+            pos += run
+            cat = reader.read_unary()
+            if pos >= 63:
+                raise ConfigurationError("AC run overflow")
+            out[b, pos] = ref_decode_amplitude(reader, cat)
+            pos += 1
+    return out
+
+
+def bit_stream(bits: str) -> np.ndarray:
+    """Pack a ``'0'``/``'1'`` string (zero padded)."""
+    return np.packbits(np.frombuffer(bits.encode("ascii"), np.uint8) - ord("0"))
+
+
+#: Coefficients at the ends of categories 1, 2, 10, 11, 15 and 16.
+EDGE_VALUES = [1, -1, 2, -3, 1023, -1023, 1024, -1024, 2047, -2047,
+               32767, -32767, -32768]
+
+
+def fuzz_ac_blocks(rng, n):
+    """``n`` blocks of random sparsity, some all zero, some dense."""
+    density = rng.choice([0.0, 0.02, 0.1, 0.5, 1.0], size=(n, 1))
+    magnitude = rng.choice([2, 64, 2048, 32768], size=(n, 1))
+    values = rng.integers(-magnitude, magnitude, size=(n, 63))
+    blocks = np.where(rng.random((n, 63)) < density, values, 0)
+    return blocks.astype(np.int16)
+
+
 class TestJpegPrimitives:
     def test_zigzag_is_permutation(self):
         zz = zigzag_order()
@@ -142,11 +282,11 @@ class TestJpegPrimitives:
         stream = encode_dc(np.array([1000], dtype=np.int16))
         assert len(stream) == 3
         with pytest.raises(ConfigurationError, match="underrun"):
-            decode_dc(stream[:2], 1)  # runs out inside read()
+            decode_dc(stream[:2], 1)  # runs out inside the amplitude
         # 1500 is category 11: the unary prefix alone is 12 bits.
         stream = encode_dc(np.array([1500], dtype=np.int16))
         with pytest.raises(ConfigurationError, match="underrun"):
-            decode_dc(stream[:1], 1)  # runs out inside read_unary()
+            decode_dc(stream[:1], 1)  # runs out inside the unary field
 
     def test_truncated_ac_stream_underruns(self):
         # Coefficient -1500 at position 0: run '0', category 11 in 12
@@ -156,23 +296,165 @@ class TestJpegPrimitives:
         stream = encode_ac(blocks)
         assert np.array_equal(decode_ac(stream, 1), blocks)
         with pytest.raises(ConfigurationError, match="underrun"):
-            decode_ac(stream[:2], 1)  # runs out inside read()
+            decode_ac(stream[:2], 1)  # runs out inside the amplitude
         with pytest.raises(ConfigurationError, match="underrun"):
-            decode_ac(stream[:1], 1)  # runs out inside read_unary()
+            decode_ac(stream[:1], 1)  # runs out inside the unary field
 
-    def test_read_zero_bits_consumes_nothing(self):
-        reader = BitReader(np.array([0b10110000], dtype=np.uint8))
-        assert reader.read(0) == 0
-        assert reader.pos == 0
-        assert reader.read(4) == 0b1011
-        assert reader.read(4) == 0
-        assert reader.read(0) == 0  # also at the very end of the stream
-        assert reader.pos == 8
+    def test_category_0_amplitude_at_end_of_stream(self):
+        # 5 is '1110' + '101', then the diff 0 is a lone '0': the second
+        # symbol's empty amplitude ends exactly at the last bit.
+        values = np.array([5, 5], dtype=np.int16)
+        stream = encode_dc(values)
+        assert stream.tobytes() == bytes([0b11101010])
+        assert np.array_equal(decode_dc(stream, 2), values)
         with pytest.raises(ConfigurationError, match="underrun"):
-            reader.read(1)
+            decode_dc(stream, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_streams_match_reference_coder(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = fuzz_ac_blocks(rng, 40)
+        dc = rng.integers(-32768, 32768, size=40).astype(np.int16)
+        assert same_bytes(encode_ac(blocks), ref_encode_ac(blocks))
+        assert same_bytes(encode_dc(dc), ref_encode_dc(dc))
+        assert np.array_equal(decode_ac(encode_ac(blocks), 40), blocks)
+        assert np.array_equal(decode_dc(encode_dc(dc), 40), dc)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_coefficients_match_reference_coder(self, value):
+        blocks = np.zeros((5, 63), dtype=np.int16)  # block 4 stays zero
+        blocks[0, 0] = value
+        blocks[1, 62] = value  # after a run of 62 zeros
+        blocks[2, [0, 62]] = value
+        blocks[3] = value
+        stream = encode_ac(blocks)
+        assert same_bytes(stream, ref_encode_ac(blocks))
+        assert np.array_equal(decode_ac(stream, 5), blocks)
+        dc = np.array([value, 0, value, value, -1], dtype=np.int16)
+        assert same_bytes(encode_dc(dc), ref_encode_dc(dc))
+        assert np.array_equal(decode_dc(encode_dc(dc), 5), dc)
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2014])
+    def test_source_streams_match_reference_coder(self, scale, seed):
+        app = JpegApp(scale=scale, seed=seed)
+        _, coefs, dc_stream, ac_stream = app._encode_source()
+        assert same_bytes(dc_stream, ref_encode_dc(coefs[:, 0]))
+        assert same_bytes(ac_stream, ref_encode_ac(coefs[:, 1:]))
+        assert np.array_equal(decode_dc(dc_stream, app.n_blocks), coefs[:, 0])
+        assert np.array_equal(decode_ac(ac_stream, app.n_blocks), coefs[:, 1:])
+
+    def test_truncation_at_every_byte_underruns(self):
+        rng = np.random.default_rng(7)
+        blocks = fuzz_ac_blocks(rng, 12)
+        dc = rng.integers(-2048, 2048, size=12).astype(np.int16)
+        for stream, decode in [
+            (encode_ac(blocks), decode_ac), (encode_dc(dc), decode_dc)
+        ]:
+            assert len(stream) > 20
+            for cut in range(len(stream)):
+                with pytest.raises(ConfigurationError, match="underrun"):
+                    decode(stream[:cut], 12)
+
+    def test_random_bytes_decode_like_reference_or_raise_typed_error(self):
+        rng = np.random.default_rng(2014)
+        for i in range(2000):
+            stream = rng.integers(0, 256, size=int(rng.integers(0, 40)),
+                                  dtype=np.uint8)
+            if i % 2:  # long runs of ones reach the EOB and big categories
+                stream |= rng.integers(0, 256, size=stream.size, dtype=np.uint8)
+            n_blocks = int(rng.integers(0, 4))
+            for decode, reference in [
+                (decode_ac, ref_decode_ac), (decode_dc, ref_decode_dc)
+            ]:
+                try:
+                    expected = reference(stream, n_blocks)
+                except (ConfigurationError, OverflowError) as exc:
+                    with pytest.raises(ConfigurationError) as raised:
+                        decode(stream, n_blocks)
+                    if isinstance(exc, ConfigurationError):
+                        assert str(raised.value) == str(exc)
+                else:
+                    out = decode(stream, n_blocks)
+                    assert out.dtype == np.int16
+                    assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "decode,bits,n_blocks",
+        [
+            # One block: run 0, category 17, 131071, EOB.
+            (decode_ac, "0" + "1" * 17 + "0" + "1" * 17 + "1" * 63 + "0", 1),
+            # Category 16: 65535.
+            (decode_dc, "1" * 16 + "0" + "1" * 16, 1),
+            # 32767 twice: each diff fits, the running sum does not.
+            (decode_dc, 2 * ("1" * 15 + "0" + "1" * 15), 2),
+        ],
+    )
+    def test_coefficient_outside_int16_is_typed_error(self, decode, bits, n_blocks):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            decode(bit_stream(bits), n_blocks)
+
+
+def ref_smooth_noise(rng, n, octaves=3):
+    """Reference: ``klt.smooth_noise`` upsampling with ``np.kron``."""
+    img = np.zeros((n, n))
+    for o in range(octaves):
+        step = 2 ** (octaves - o + 1)
+        coarse = rng.standard_normal((n // step + 2, n // step + 2))
+        img += np.kron(coarse, np.ones((step, step)))[:n, :n] * (2.0 ** -o)
+    img -= img.min()
+    return 255.0 * img / img.max()
+
+
+def ref_shift_frame(img, dy, dx):
+    """Reference: ``klt.shift_frame`` as one full-grid ``bilinear_sample``."""
+    ys, xs = np.mgrid[0 : img.shape[0], 0 : img.shape[1]]
+    return bilinear_sample(img, ys - dy, xs - dx)
+
+
+def mutant_shift_frame(img, dy, dx):
+    """``shift_frame`` with each term's two weights multiplied first."""
+    h, w = img.shape
+    ys = np.clip(np.arange(h) - dy, 0, h - 1.001)
+    xs = np.clip(np.arange(w) - dx, 0, w - 1.001)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    fy, fx = (ys - y0)[:, None], xs - x0
+    top, bottom = img[y0], img[y0 + 1]
+    return (
+        top[:, x0] * ((1 - fy) * (1 - fx))
+        + top[:, x0 + 1] * ((1 - fy) * fx)
+        + bottom[:, x0] * (fy * (1 - fx))
+        + bottom[:, x0 + 1] * (fy * fx)
+    )
+
+
+#: (rows, cols) of the frames shifted byte for byte against the reference.
+SHIFT_SHAPES = [(n, n) for n in (5, 64, 128, 256)] + [
+    (5, 9), (64, 37), (128, 256), (256, 128)
+]
 
 
 class TestKltPrimitives:
+    @pytest.mark.parametrize(
+        "shift", [TRUE_SHIFT, (0.3, -0.7), (-2.25, 3.6), (0.0, 0.0)]
+    )
+    @pytest.mark.parametrize("shape", SHIFT_SHAPES)
+    def test_shift_frame_bytes_match_bilinear_reference(self, shape, shift):
+        img = np.random.default_rng(shape[0] * shape[1]).random(shape) * 255.0
+        assert same_bytes(shift_frame(img, *shift), ref_shift_frame(img, *shift))
+
+    def test_byte_test_catches_premultiplied_weights(self):
+        # Not at TRUE_SHIFT: its 1 − fy = fy = 0.5 scales exactly, so
+        # there the mutant gives the same bytes.
+        img = smooth_noise(np.random.default_rng(9), 64)
+        assert not same_bytes(mutant_shift_frame(img, 0.3, -0.7),
+                              shift_frame(img, 0.3, -0.7))
+
+    @pytest.mark.parametrize("n", [5, 64, 100, 256])
+    def test_smooth_noise_bytes_match_kron_reference(self, n):
+        assert same_bytes(smooth_noise(np.random.default_rng(n), n),
+                          ref_smooth_noise(np.random.default_rng(n), n))
+
     def test_bilinear_at_integer_coords(self):
         img = np.arange(25, dtype=float).reshape(5, 5)
         ys, xs = np.array([2.0]), np.array([3.0])
@@ -198,8 +480,7 @@ class TestKltPrimitives:
         n = 64
         img1 = smooth_noise(np.random.default_rng(6), n)
         img1[:, :24] = 100.0  # flat strip: zero gradients, singular tensor
-        ys, xs = np.mgrid[0:n, 0:n].astype(np.float64)
-        img2 = bilinear_sample(img1, ys - TRUE_SHIFT[0], xs - TRUE_SHIFT[1])
+        img2 = shift_frame(img1, *TRUE_SHIFT)
         gx, gy = central_gradients(img1)
         feats = np.array(
             [[32.0, 44.0], [30.0, 8.5], [20.0, 40.0], [44.0, 50.0]]
@@ -254,12 +535,6 @@ def mutant_jacobi(x0, b, alpha, beta):
         ) / beta
         x = x_new
     return x
-
-
-def same_bytes(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and (
-        a.tobytes() == b.tobytes()
-    )
 
 
 EXACT_SHAPES = [(3, 3), (5, 7), (64, 64), (128, 128)]
