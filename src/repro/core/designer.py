@@ -16,12 +16,14 @@ and per-kernel timing), the designer:
 Every stage can be disabled through :class:`DesignConfig` — that is how
 the ablation benches and the paper's "NoC-only" comparison system are
 expressed (sharing and adaptive mapping off, everything on the NoC).
+:func:`price_interconnect` runs stages 1–3 only and returns what the
+synthesis estimate needs; the flow prices the NoC-only system with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..errors import DesignError
 from ..hw.device import Device, XC5VFX130T
@@ -35,8 +37,14 @@ from .duplication import DuplicationDecision, decide_duplications
 from .mapping import adaptive_map, explain_mapping
 from .parallel import PipelineDecision, find_pipeline_opportunities
 from .placement import place_on_mesh
-from .plan import InterconnectPlan, KernelMapping, NocPlan, memory_node
-from .sharing import residual_graph, sharing_decisions
+from .plan import (
+    InterconnectPlan,
+    KernelMapping,
+    NocPlan,
+    bill_of_materials,
+    memory_node,
+)
+from .sharing import SharedMemoryLink, residual_graph, sharing_decisions
 from .topology import (
     KernelAttach,
     MemoryAttach,
@@ -89,6 +97,20 @@ class DesignConfig:
             enable_noc=False,
             enable_pipelining=False,
         )
+
+
+class Decisions(NamedTuple):
+    """What Algorithm 1 decided before placement
+    (:meth:`InterconnectDesigner.decide`)."""
+
+    #: Post-duplication communication graph.
+    graph: CommGraph
+    duplications: Tuple[DuplicationDecision, ...]
+    sharing: Tuple[SharedMemoryLink, ...]
+    #: ``graph`` minus the shared-memory edges: what the NoC or bus
+    #: carries.
+    residual: CommGraph
+    mappings: Dict[str, KernelMapping]
 
 
 class InterconnectDesigner:
@@ -223,9 +245,10 @@ class InterconnectDesigner:
             edges=tuple(noc_edges),
         )
 
-    # -- entry point ----------------------------------------------------------
-    def design(self) -> InterconnectPlan:
-        """Run Algorithm 1 and return the plan (with full provenance)."""
+    # -- entry points ---------------------------------------------------------
+    def decide(self) -> Decisions:
+        """Run Algorithm 1's decision stages: duplication, sharing and
+        mapping. Placement and pipelining are left to :meth:`design`."""
         cfg = self.config
         self.log.record(
             prov.STAGE_CONFIG,
@@ -295,6 +318,12 @@ class InterconnectDesigner:
 
         with self.tracer.span("design.mapping", category="design", app=self.app):
             mappings = self._map_kernels(graph, residual)
+        return Decisions(graph, duplications, sharing, residual, mappings)
+
+    def design(self) -> InterconnectPlan:
+        """Run Algorithm 1 and return the plan (with full provenance)."""
+        cfg = self.config
+        graph, duplications, sharing, residual, mappings = self.decide()
         with self.tracer.span("design.placement", category="design", app=self.app):
             noc = self._build_noc(mappings, residual)
         if noc is None:
@@ -358,3 +387,22 @@ def design_interconnect(
 ) -> InterconnectPlan:
     """Functional façade over :class:`InterconnectDesigner`."""
     return InterconnectDesigner(app, graph, config, tracer=tracer).design()
+
+
+def price_interconnect(
+    app: str,
+    graph: CommGraph,
+    config: DesignConfig,
+    tracer: Tracer | None = None,
+) -> Tuple[CommGraph, Dict[ComponentKind, int]]:
+    """What synthesis needs of :func:`design_interconnect`, unplaced.
+
+    Returns the post-duplication graph, whose kernels are priced, and
+    the bill of materials that the designed plan's
+    :meth:`~InterconnectPlan.component_counts` would give. Only the
+    decision stages run: mesh placement and pipelining change neither.
+    """
+    decided = InterconnectDesigner(app, graph, config, tracer=tracer).decide()
+    return decided.graph, bill_of_materials(
+        decided.graph, decided.sharing, decided.mappings
+    )

@@ -19,7 +19,7 @@ multiplexer, generalizing the paper's JPEG example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..hw.resources import ComponentKind
 from ..obs.provenance import ProvenanceEvent
@@ -55,6 +55,84 @@ class KernelMapping:
     def memory_on_noc(self) -> bool:
         """Whether the kernel's local memory has a NoC port."""
         return self.attach_memory in (MemoryAttach.M2, MemoryAttach.M3)
+
+
+def shared_with(
+    sharing: Sequence[SharedMemoryLink], kernel: str
+) -> Optional[SharedMemoryLink]:
+    """The sharing link a kernel participates in, if any."""
+    for link in sharing:
+        if kernel in (link.producer, link.consumer):
+            return link
+    return None
+
+
+def memory_accessors(
+    graph: CommGraph,
+    sharing: Sequence[SharedMemoryLink],
+    mapping: KernelMapping,
+) -> Tuple[str, ...]:
+    """Logical accessors of one kernel's local memory (see module doc)."""
+    kernel = mapping.kernel
+    accessors = ["core"]
+    link = shared_with(sharing, kernel)
+    crossbar_shared = link is not None and link.crossbar
+    has_host = (graph.d_h_in(kernel) + graph.d_h_out(kernel)) > 0
+    if crossbar_shared:
+        accessors.append("crossbar")  # carries host traffic too
+    elif link is not None:
+        accessors.append("partner_core")  # direct sharing
+        if has_host:
+            accessors.append("host")
+    elif has_host:
+        accessors.append("host")
+    if mapping.on_noc:
+        accessors.append("kernel_na")
+    if mapping.memory_on_noc:
+        accessors.append("memory_na")
+    return tuple(accessors)
+
+
+def mux_kernels(
+    graph: CommGraph,
+    sharing: Sequence[SharedMemoryLink],
+    mappings: Mapping[str, KernelMapping],
+) -> Tuple[str, ...]:
+    """Kernels whose local memory needs a >2-port multiplexer."""
+    return tuple(
+        k for k in graph.kernel_names()
+        if len(memory_accessors(graph, sharing, mappings[k])) > 2
+    )
+
+
+def bill_of_materials(
+    graph: CommGraph,
+    sharing: Sequence[SharedMemoryLink],
+    mappings: Mapping[str, KernelMapping],
+) -> Dict[ComponentKind, int]:
+    """Interconnect BOM of Algorithm 1's decisions, for the synthesis
+    estimator.
+
+    Needs no placement: every ``K2`` kernel and every ``M2``/``M3``
+    memory gets one router and one network adapter, and those are
+    exactly the nodes the placement stage puts on the mesh (rule
+    ``P009`` checks it).
+    """
+    counts: Dict[ComponentKind, int] = {ComponentKind.BUS: 1}
+    crossbars = sum(1 for l in sharing if l.crossbar)
+    if crossbars:
+        counts[ComponentKind.CROSSBAR] = crossbars
+    kernel_nas = sum(1 for m in mappings.values() if m.on_noc)
+    memory_nas = sum(1 for m in mappings.values() if m.memory_on_noc)
+    if kernel_nas + memory_nas:
+        counts[ComponentKind.ROUTER] = kernel_nas + memory_nas
+        counts[ComponentKind.NA_KERNEL] = kernel_nas
+        counts[ComponentKind.NA_MEMORY] = memory_nas
+        counts[ComponentKind.NOC_GLUE] = 1
+    muxes = len(mux_kernels(graph, sharing, mappings))
+    if muxes:
+        counts[ComponentKind.MUX] = muxes
+    return counts
 
 
 @dataclass(frozen=True)
@@ -107,55 +185,20 @@ class InterconnectPlan:
 
     def shared_with(self, kernel: str) -> Optional[SharedMemoryLink]:
         """The sharing link a kernel participates in, if any."""
-        for link in self.sharing:
-            if kernel in (link.producer, link.consumer):
-                return link
-        return None
+        return shared_with(self.sharing, kernel)
 
     def memory_accessors(self, kernel: str) -> Tuple[str, ...]:
         """Logical accessors of a kernel's local memory (see module doc)."""
-        mapping = self.mappings[kernel]
-        accessors = ["core"]
-        link = self.shared_with(kernel)
-        crossbar_shared = link is not None and link.crossbar
-        has_host = (self.graph.d_h_in(kernel) + self.graph.d_h_out(kernel)) > 0
-        if crossbar_shared:
-            accessors.append("crossbar")  # carries host traffic too
-        elif link is not None:
-            accessors.append("partner_core")  # direct sharing
-            if has_host:
-                accessors.append("host")
-        elif has_host:
-            accessors.append("host")
-        if mapping.on_noc:
-            accessors.append("kernel_na")
-        if mapping.memory_on_noc:
-            accessors.append("memory_na")
-        return tuple(accessors)
+        return memory_accessors(self.graph, self.sharing, self.mappings[kernel])
 
     def mux_kernels(self) -> Tuple[str, ...]:
         """Kernels whose local memory needs a >2-port multiplexer."""
-        return tuple(
-            k for k in self.graph.kernel_names()
-            if len(self.memory_accessors(k)) > 2
-        )
+        return mux_kernels(self.graph, self.sharing, self.mappings)
 
     # -- bill of materials -------------------------------------------------
     def component_counts(self) -> Dict[ComponentKind, int]:
         """Interconnect BOM for the synthesis estimator."""
-        counts: Dict[ComponentKind, int] = {ComponentKind.BUS: 1}
-        crossbars = sum(1 for l in self.sharing if l.crossbar)
-        if crossbars:
-            counts[ComponentKind.CROSSBAR] = crossbars
-        if self.noc is not None:
-            counts[ComponentKind.ROUTER] = self.noc.router_count
-            counts[ComponentKind.NA_KERNEL] = len(self.noc.kernel_nodes)
-            counts[ComponentKind.NA_MEMORY] = len(self.noc.memory_nodes)
-            counts[ComponentKind.NOC_GLUE] = 1
-        muxes = len(self.mux_kernels())
-        if muxes:
-            counts[ComponentKind.MUX] = muxes
-        return counts
+        return bill_of_materials(self.graph, self.sharing, self.mappings)
 
     # -- the Table IV "Solution" column -----------------------------------
     def solution_label(self) -> str:

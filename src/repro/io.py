@@ -16,8 +16,11 @@ hand-edited file cannot smuggle in inconsistent state.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import pathlib
+import threading
 from typing import Any, Dict, Union
 
 from .core.commgraph import CommGraph
@@ -273,11 +276,36 @@ def plan_from_dict(data: Dict[str, Any]) -> InterconnectPlan:
 # -- file helpers -------------------------------------------------------------
 
 
+def _json_text(obj: Dict[str, Any]) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def save_json(obj: Dict[str, Any], path: Union[str, pathlib.Path]) -> None:
     """Write a serialized artifact to disk (pretty-printed, stable order)."""
-    pathlib.Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    pathlib.Path(path).write_text(_json_text(obj))
+
+
+def save_json_atomic(
+    obj: Dict[str, Any], path: Union[str, pathlib.Path]
+) -> None:
+    """:func:`save_json` through a temporary file and :func:`os.replace`.
+
+    The temporary file sits in the same directory, so the rename is
+    atomic: a concurrent reader sees the old file or the whole new one,
+    never a prefix. When the write or the rename fails, the temporary
+    file is removed and the error propagates.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
+    try:
+        tmp.write_text(_json_text(obj))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_json(path: Union[str, pathlib.Path]) -> Dict[str, Any]:

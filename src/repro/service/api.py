@@ -401,6 +401,7 @@ class DesignService:
             ("cache_misses", cache.misses),
             ("cache_evictions", cache.evictions),
             ("cache_invalidations", cache.invalidations),
+            ("cache_write_errors", cache.write_errors),
             ("cache_hit_ratio", cache.hit_ratio),
             ("execution_mode", self._runner.last_mode),
         )

@@ -2,10 +2,13 @@
 
 Tier 1 is an in-process LRU (bounded, eviction-counted); tier 2 is an
 optional on-disk JSON store (one ``<fingerprint>.json`` file per entry,
-written through :func:`repro.io.save_json` so entries carry the standard
-``kind``/``version`` envelope). Disk entries from an older
-:data:`repro.io.FORMAT_VERSION` — or corrupt/mismatched files — are
-treated as misses, counted as invalidations, and deleted.
+written through :func:`repro.io.save_json_atomic` so entries carry the
+standard ``kind``/``version`` envelope and a reader never sees half a
+file). Disk entries from an older :data:`repro.io.FORMAT_VERSION` — or
+corrupt/mismatched files — are treated as misses, counted as
+invalidations, and deleted. A failed disk write (full disk, I/O error)
+is counted in ``write_errors`` and otherwise ignored: the summary is
+already computed and still served from memory.
 
 The cached value is the flat :func:`repro.flow.result_summary` dict: it
 round-trips through JSON bit-exactly (floats included), which is what
@@ -42,6 +45,7 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     invalidations: int = 0
+    write_errors: int = 0
 
     @property
     def hits(self) -> int:
@@ -64,6 +68,7 @@ class CacheStats:
             "stores": self.stores,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "write_errors": self.write_errors,
             "hit_ratio": self.hit_ratio,
         }
 
@@ -189,12 +194,18 @@ class ResultCache:
             return None
 
     def put(self, fingerprint: str, summary: Dict[str, Any]) -> None:
-        """Store a result summary in both tiers."""
+        """Store a result summary in both tiers.
+
+        A disk write that fails with :class:`OSError` is counted in
+        ``stats.write_errors`` and does not raise.
+        """
         with self._lock:
             self.stats.stores += 1
             self._remember(fingerprint, summary)
-            if self.cache_dir is not None:
-                reproio.save_json(
+            if self.cache_dir is None:
+                return
+            try:
+                reproio.save_json_atomic(
                     {
                         "kind": RESULT_KIND,
                         "version": reproio.FORMAT_VERSION,
@@ -203,6 +214,8 @@ class ResultCache:
                     },
                     self._disk_path(fingerprint),
                 )
+            except OSError:
+                self.stats.write_errors += 1
 
     def _remember(self, fingerprint: str, summary: Dict[str, Any]) -> None:
         self._memory[fingerprint] = summary

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.errors import CacheError, ConfigurationError
-from repro.service import DesignJob, MetricsRegistry, ResultCache, percentile
+from repro.service import (
+    DesignJob,
+    DesignService,
+    MetricsRegistry,
+    ResultCache,
+    percentile,
+)
 from repro.sim.systems import SystemParams
 
 
@@ -141,6 +151,125 @@ class TestResultCacheDisk:
         fresh = ResultCache(cache_dir=tmp_path)
         assert fresh.get("other") is None
         assert fresh.stats.invalidations == 1
+
+
+def _fail_writes_under(monkeypatch, directory, code):
+    """Make every ``Path.write_text`` into ``directory`` fail with ``code``."""
+    real = pathlib.Path.write_text
+
+    def write_text(self, *args, **kwargs):
+        if self.parent == directory:
+            raise OSError(code, os.strerror(code), str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+
+
+def _fail_replace(monkeypatch, directory, code):
+    """Make every ``os.replace`` fail with ``code``."""
+
+    def replace(src, dst):
+        raise OSError(code, os.strerror(code), str(dst))
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+#: A result summary shaped like :func:`repro.flow.result_summary`'s.
+SUMMARY = {
+    "solution": "NoC, SM, P",
+    "baseline_kernels_ms": 12.345678901234567,
+    "proposed_kernels_ms": 3.0000000000000004,
+    "speedup_app": 1.8712,
+    "proposed_luts": 15031,
+    "sim_speedup_app": 1.7999999999999998,
+}
+
+
+class TestResultCacheWriteFailures:
+    @pytest.mark.parametrize(
+        "inject, code",
+        [(_fail_writes_under, errno.ENOSPC), (_fail_replace, errno.EIO)],
+        ids=["ENOSPC-at-write", "EIO-at-rename"],
+    )
+    def test_failed_disk_write_is_counted_not_raised(
+        self, tmp_path, monkeypatch, inject, code
+    ):
+        cache = ResultCache(cache_dir=tmp_path)
+        cache.put("old", {"v": 1})
+        inject(monkeypatch, tmp_path, code)
+        cache.put("fp", SUMMARY)
+        cache.put("old", {"v": 2})
+        monkeypatch.undo()
+        assert cache.stats.write_errors == 2
+        assert cache.stats.as_dict()["write_errors"] == 2
+        assert cache.stats.stores == 3
+        assert cache.get("fp") == SUMMARY  # served from memory
+        # no temporary file is left, and the old entry is still whole
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+        fresh = ResultCache(cache_dir=tmp_path)
+        assert fresh.get("old") == {"v": 1}
+        assert fresh.get("fp") is None
+        assert fresh.stats.invalidations == 0
+
+    def test_entry_cut_at_every_byte_offset_never_reads_wrong(
+        self, tmp_path
+    ):
+        ResultCache(cache_dir=tmp_path).put("fp", SUMMARY)
+        path = tmp_path / "fp.json"
+        data = path.read_bytes()
+        whole = data.rstrip()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            cache = ResultCache(cache_dir=tmp_path)
+            got = cache.get("fp")
+            if data[:cut] == whole:
+                # only the trailing newline is gone: the entry is intact
+                assert got == SUMMARY, cut
+                assert cache.stats.invalidations == 0, cut
+            else:
+                assert got is None, cut
+                assert cache.stats.invalidations == 1, cut
+                assert not path.exists(), cut
+
+    def test_batch_survives_failed_cache_writes(self, tmp_path, monkeypatch):
+        from repro.server import DesignClient, ServerConfig, start_in_thread
+
+        calls = []
+
+        def runner(job):
+            calls.append(job.fingerprint())
+            return {"app": job.app, "seed": job.seed}
+
+        a = DesignJob("klt", simulate=False)
+        b = DesignJob("klt", seed=7, simulate=False)
+        c = DesignJob("jpeg", simulate=False)
+        service = DesignService(
+            cache=ResultCache(cache_dir=tmp_path), runner=runner
+        )
+        try:
+            _fail_writes_under(monkeypatch, tmp_path, errno.ENOSPC)
+            results = service.submit_many([a, b, a, c])
+            monkeypatch.undo()
+            assert [r.summary for r in results] == [
+                {"app": "klt", "seed": a.seed},
+                {"app": "klt", "seed": 7},
+                {"app": "klt", "seed": a.seed},
+                {"app": "jpeg", "seed": c.seed},
+            ]
+            assert results[2].coalesced
+            assert len(calls) == 3
+            assert service._inflight == {}
+            assert service.stats()["cache"]["write_errors"] == 3
+            assert list(tmp_path.iterdir()) == []
+            # the answers stay cached in memory
+            assert service.submit(b).cached
+            with start_in_thread(
+                ServerConfig(port=0), service=service
+            ) as handle:
+                doc = DesignClient(handle.url).debug()
+            assert doc["debug"]["cache"]["write_errors"] == 3
+        finally:
+            service.close()
 
 
 class TestMetrics:
