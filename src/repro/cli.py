@@ -21,8 +21,6 @@
   executing a single kernel; ``--check`` traces the app too and proves
   byte-exact agreement on every deterministic edge (``--diff-out``
   writes the ``static-diff`` document CI archives);
-* ``bench`` — time the designer/simulator/service hot paths and write
-  the versioned ``bench-report`` JSON CI tracks (``BENCH_repro.json``);
 * ``report`` — regenerate every paper table/figure in one go;
 * ``simulate <app>`` — run the discrete-event simulation and show the
   baseline-vs-proposed Gantt comparison;
@@ -37,8 +35,7 @@
   admission control, Prometheus ``/metrics``, graceful SIGTERM drain;
 * ``loadtest`` — drive a running server with concurrent clients and
   report served p50/p95/p99 latency, a bucketed latency histogram, and
-  error rates (optionally merged into ``BENCH_repro.json`` and gated
-  with ``--max-error-rate``);
+  error rates (gated with ``--max-error-rate``);
 * ``top`` — live dashboard over a running server's ``/v1/debug``
   runtime introspection endpoint (``--once`` for a single snapshot,
   ``--json`` for the raw machine-readable document);
@@ -47,9 +44,11 @@
   recent spans/events, metric snapshots);
 * ``apps`` — list the available applications.
 
-``bench --history BENCH_history.jsonl --compare`` turns the benchmark
-into a trend gate: every run appends to the history, and timings that
-exceed ``--threshold`` times the historical median exit non-zero.
+Benchmarks live outside the CLI: ``benchmarks/e2e/run.py`` measures
+designs and served requests end to end with per-layer times from the
+spans ``run_experiment`` emits (``benchmarks/e2e/compare.py`` gates a
+change against its parent), and ``tools/overhead_gates.py`` bounds what
+the profile recorder and the stack sampler add to a simulation.
 """
 
 from __future__ import annotations
@@ -217,45 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "profiles here (one JSON per job fingerprint)")
 
     p = sub.add_parser(
-        "bench",
-        help="benchmark the designer/simulator/service hot paths",
-    )
-    p.add_argument("--apps", type=str, default=",".join(APP_NAMES),
-                   help="comma-separated applications (default: all)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timing repetitions (each number is the minimum)")
-    p.add_argument("--buckets", type=int, default=64,
-                   help="profiler bucket count for the overhead measurement")
-    p.add_argument("--out", type=str, default=None, metavar="PATH",
-                   help="write the bench-report JSON here "
-                        "(e.g. BENCH_repro.json)")
-    p.add_argument("--max-overhead", type=float, default=None, metavar="X",
-                   help="exit 1 if the profiler overhead ratio exceeds X "
-                        "(gates on jpeg when benched)")
-    p.add_argument("--history", type=str, default=None, metavar="PATH",
-                   help="append this run to a JSONL history file "
-                        "(e.g. BENCH_history.jsonl)")
-    p.add_argument("--compare", action="store_true",
-                   help="compare against the --history baseline "
-                        "(median of past runs) before appending; exit 1 "
-                        "on any timing regression")
-    p.add_argument("--threshold", type=float, default=None, metavar="R",
-                   help="regression ratio for --compare (default 1.5 = "
-                        "50%% slower than the historical median)")
-    p.add_argument("--profile-self", action="store_true",
-                   help="also sample the benchmark's own stacks: adds "
-                        "sim_sampled_s / sampler_overhead per app and a "
-                        "self_profile phase-attribution section")
-    p.add_argument("--profile-out", type=str, default=None, metavar="PATH",
-                   help="write the speedscope profile of the phase-"
-                        "attribution pass here (implies --profile-self)")
-    p.add_argument("--max-sampler-overhead", type=float, default=None,
-                   metavar="X",
-                   help="exit 1 if the stack-sampler overhead ratio "
-                        "exceeds X (implies --profile-self; gates on the "
-                        "worst benched app)")
-
-    p = sub.add_parser(
         "fuzz",
         help="property-based fuzzing of Algorithm 1 + the simulator",
     )
@@ -367,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="X-Tenant header for every request")
     p.add_argument("--json-out", default=None, metavar="PATH",
                    help="write the full loadtest-report JSON here")
-    p.add_argument("--bench-out", default=None, metavar="PATH",
-                   help="merge headline numbers into this bench-report "
-                        "JSON (e.g. BENCH_repro.json)")
     p.add_argument("--max-error-rate", type=float, default=None,
                    help="exit 1 if the error rate exceeds this")
 
@@ -739,116 +696,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import render_bench, run_bench
-    from .errors import ConfigurationError
-
-    if args.compare and args.history is None:
-        raise ConfigurationError("--compare needs --history PATH")
-    if args.threshold is not None and not args.compare:
-        raise ConfigurationError("--threshold only applies with --compare")
-
-    profile_self = (
-        args.profile_self
-        or args.profile_out is not None
-        or args.max_sampler_overhead is not None
-    )
-    apps = [a for a in args.apps.split(",") if a]
-    report = run_bench(
-        apps=apps, repeat=args.repeat, buckets=args.buckets, out=args.out,
-        profile_self=profile_self,
-        profile_out=args.profile_out,
-    )
-    print(render_bench(report))
-    if args.out is not None:
-        print(f"wrote benchmark report to {args.out}")
-    if args.profile_out is not None:
-        print(f"wrote speedscope self-profile to {args.profile_out}")
-
-    regression = False
-    if args.history is not None:
-        from .obs.runtime.trends import (
-            DEFAULT_THRESHOLD,
-            append_history,
-            compare_bench,
-            load_history,
-            regressions,
-            render_trend_table,
-        )
-
-        threshold = (
-            args.threshold if args.threshold is not None
-            else DEFAULT_THRESHOLD
-        )
-        history = load_history(args.history)
-        if args.compare:
-            if not history:
-                print(
-                    "bench trend: no history yet at "
-                    f"{args.history}; recording a baseline (not gating)"
-                )
-            else:
-                deltas = compare_bench(
-                    report, history, threshold=threshold
-                )
-                print(render_trend_table(deltas, threshold))
-                regressed = regressions(deltas)
-                if regressed:
-                    names = ", ".join(d.name for d in regressed)
-                    print(
-                        f"FAIL: {len(regressed)} timing metric(s) "
-                        f"regressed beyond {threshold:.2f}x the "
-                        f"historical median: {names}",
-                        file=sys.stderr,
-                    )
-                    regression = True
-        # Always record this run (even a regressed one: the history is
-        # the measurement log, the gate is the exit code).
-        append_history(report, args.history)
-        print(
-            f"bench trend: appended run #{len(history) + 1} "
-            f"to {args.history}"
-        )
-    if regression:
-        return 1
-
-    if args.max_overhead is not None:
-        rows = report["apps"]
-        # Gate on jpeg (the paper's running example and the heaviest
-        # communicator); fall back to the worst app when not benched.
-        name = ("jpeg" if "jpeg" in rows
-                else max(rows, key=lambda n: rows[n]["profiler_overhead"]))
-        overhead = rows[name]["profiler_overhead"]
-        if overhead > args.max_overhead:
-            print(
-                f"FAIL: profiler overhead on {name} is {overhead:.2f}x "
-                f"> allowed {args.max_overhead:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"profiler overhead gate ok: {name} {overhead:.2f}x "
-              f"<= {args.max_overhead:.2f}x")
-
-    if args.max_sampler_overhead is not None:
-        rows = report["apps"]
-        # Gate on the worst app: the sampler's cost is supposed to be
-        # flat across workloads, so any app breaching the bound means
-        # sampling got structurally more expensive.
-        name = max(rows, key=lambda n: rows[n]["sampler_overhead"])
-        overhead = rows[name]["sampler_overhead"]
-        if overhead > args.max_sampler_overhead:
-            print(
-                f"FAIL: stack-sampler overhead on {name} is "
-                f"{overhead:.2f}x > allowed "
-                f"{args.max_sampler_overhead:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"sampler overhead gate ok: {name} {overhead:.2f}x "
-              f"<= {args.max_sampler_overhead:.2f}x")
-    return 0
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .io import save_json
     from .service import DesignService
@@ -936,7 +783,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         DEFAULT_APPS,
         LoadtestConfig,
         format_report,
-        merge_into_bench,
         run_loadtest,
     )
 
@@ -952,9 +798,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     if args.json_out:
         save_json(report, args.json_out)
         print(f"  report written to {args.json_out}")
-    if args.bench_out:
-        merge_into_bench(report, args.bench_out)
-        print(f"  server section merged into {args.bench_out}")
     if (
         args.max_error_rate is not None
         and report["error_rate"] > args.max_error_rate
@@ -1094,7 +937,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "report": cmd_report,
     "sweep": cmd_sweep,
-    "bench": cmd_bench,
     "fuzz": cmd_fuzz,
     "serve": cmd_serve,
     "loadtest": cmd_loadtest,

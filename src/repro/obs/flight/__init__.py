@@ -5,8 +5,7 @@ The pieces (DESIGN.md §15):
 * :class:`FlightRecorder` / :class:`RingTracer` — always-on bounded
   rings of recent spans, runtime events, and metrics snapshots;
 * :class:`StackSampler` — thread-based wall-clock profiler with
-  collapsed-stack / speedscope export and phase attribution
-  (:data:`SIM_PHASES`);
+  collapsed-stack export;
 * :class:`StallWatchdog` / :class:`Heartbeat` — stall detection over
   heartbeats and probes, edge-triggered trip/clear events;
 * :func:`build_flight_report` / :func:`write_flight_dump` /
@@ -24,20 +23,11 @@ from .report import (
     thread_stacks,
     write_flight_dump,
 )
-from .sampler import (
-    OTHER_PHASE,
-    SAMPLED_PROFILE_KIND,
-    SIM_PHASES,
-    StackSampler,
-    frame_label,
-)
+from .sampler import StackSampler, frame_label
 from .watchdog import Heartbeat, StallWatchdog
 
 __all__ = [
     "FLIGHT_KIND",
-    "OTHER_PHASE",
-    "SAMPLED_PROFILE_KIND",
-    "SIM_PHASES",
     "FlightRecorder",
     "Heartbeat",
     "RingTracer",

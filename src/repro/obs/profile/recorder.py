@@ -17,7 +17,7 @@ from the discrete-event components (bus, DMA, kernels, NoC links):
 
 Storage is plain tuples in plain lists: appending one is the entire
 per-sample cost, so profiling an enabled run stays well under the
-2x-overhead budget the bench gate enforces.
+2x-overhead budget that ``tools/overhead_gates.py`` enforces.
 
 :class:`NullRecorder` / :data:`NULL_RECORDER` follow the
 :data:`~repro.obs.trace.NULL_TRACER` null-object pattern: every method

@@ -1,10 +1,11 @@
 """Runtime telemetry for the *serving system* itself.
 
-``repro.obs`` (PR 2) and ``repro.obs.profile`` (PR 4) observe the
-*designs*: spans around Algorithm 1, provenance of every decision,
-time-resolved lane utilization. This subpackage observes the *system
-that serves them* — the admission/quota/executor/worker ring added in
-PR 6 — and the performance trajectory recorded by ``repro bench``:
+``repro.obs`` and ``repro.obs.profile`` observe the *designs*: spans
+around Algorithm 1, provenance of every decision, time-resolved lane
+utilization. This subpackage observes the *system that serves them* —
+the admission/quota/executor/worker ring of ``repro.server``.
+Performance over time is measured by ``benchmarks/e2e/`` (end to end,
+with per-layer times from the same spans), not here:
 
 ``tracecontext``
     W3C-style ``traceparent`` propagation so a single request is one
@@ -17,9 +18,6 @@ PR 6 — and the performance trajectory recorded by ``repro bench``:
 ``debug``
     Builders/renderers for the ``GET /v1/debug`` introspection
     document and the ``repro top`` terminal dashboard.
-``trends``
-    Bench-history persistence (``BENCH_history.jsonl``) and
-    regression gating for ``repro bench --compare``.
 
 Deliberately *not* imported from ``repro.obs.__init__``: the serving
 layers import these modules, and keeping the import edges explicit

@@ -114,8 +114,8 @@ class Tracer:
     @property
     def epoch_s(self) -> float:
         """The ``time.perf_counter`` value span timestamps are relative
-        to — lets samplers fold their own perf_counter timestamps onto
-        this tracer's timeline (:meth:`StackSampler.fold_spans`)."""
+        to — lets a caller place its own perf_counter timestamps on
+        this tracer's timeline."""
         return self._epoch
 
     def _now_us(self) -> float:

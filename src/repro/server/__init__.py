@@ -28,7 +28,7 @@ from ..obs.runtime.tracecontext import (
 from .admission import AdmissionController
 from .app import DesignServer, ServerConfig
 from .client import DesignClient
-from .loadtest import LoadtestConfig, merge_into_bench, run_loadtest
+from .loadtest import LoadtestConfig, run_loadtest
 from .quota import QuotaManager, sanitize_tenant
 from .runtime import ServerHandle, run_server, serve, start_in_thread
 
@@ -44,7 +44,6 @@ __all__ = [
     "ServerHandle",
     "TraceContext",
     "format_traceparent",
-    "merge_into_bench",
     "new_trace_context",
     "parse_traceparent",
     "run_server",

@@ -14,7 +14,9 @@ before the terminal ``done`` event raises :class:`ServerError` instead
 of returning silently short, and so does a connection that fails
 (reset, closed, malformed) while a response is being read: callers see
 a complete result or a typed ``ServerError(status=0)``, never a raw
-socket error.
+socket error. A 2xx body or stream event that is not valid JSON raises
+:class:`~repro.errors.ProtocolError` (a ``ServerError``) carrying the
+status, never an empty document.
 
 Every request mints a fresh W3C trace context and sends it as a
 ``traceparent`` header; the server adopts the trace id, threads it
@@ -104,14 +106,21 @@ class DesignClient:
     def _raise_for_status(
         self, resp: HTTPResponse, raw: bytes
     ) -> Dict[str, Any]:
+        ok = 200 <= resp.status < 300
         try:
-            doc = json.loads(raw.decode("utf-8")) if raw else {}
-        except ValueError:
+            doc = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            if ok:
+                raise ProtocolError(
+                    f"HTTP {resp.status} body is not valid JSON ({exc})",
+                    status=resp.status,
+                ) from exc
             doc = {}
-        if 200 <= resp.status < 300:
+        if ok:
             if not isinstance(doc, dict):
                 raise ProtocolError(
-                    f"expected a JSON object body, got {type(doc).__name__}"
+                    f"expected a JSON object body, got {type(doc).__name__}",
+                    status=resp.status,
                 )
             return doc
         message = doc.get("error") if isinstance(doc, dict) else None
@@ -240,7 +249,15 @@ class DesignClient:
             for event, data in parse_sse_stream(_lines()):
                 if event == "done":
                     done = True
-                yield event, json.loads(data)
+                try:
+                    doc = json.loads(data)
+                except ValueError as exc:
+                    raise ProtocolError(
+                        f"sweep stream {event!r} event data is not valid "
+                        f"JSON ({exc})",
+                        status=resp.status,
+                    ) from exc
+                yield event, doc
             if not done:
                 raise ServerError(
                     "sweep stream truncated: connection ended before the"

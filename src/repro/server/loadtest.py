@@ -9,23 +9,21 @@ HTTP parse, admission, quota, and a cache hit answered on the event
 loop — rather than the
 design pipeline the in-process benchmarks already cover.
 
-The report is a versioned ``loadtest-report`` document;
-:func:`merge_into_bench` folds its headline numbers into the committed
-``BENCH_repro.json`` under a ``server`` section so CI tracks served
-p50/p99 alongside the in-process timings. ``--max-error-rate`` turns
-the harness into a gate: CI runs it at ``0``.
+The report is a versioned ``loadtest-report`` document.
+``--max-error-rate`` turns the harness into a gate: CI runs it at
+``0``. Served latency for regression gating is measured by the
+open-loop workloads in ``benchmarks/e2e/``, not here.
 """
 
 from __future__ import annotations
 
-import pathlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError, ServerError
-from ..io import FORMAT_VERSION, load_json, save_json
+from ..io import FORMAT_VERSION
 from ..service.metrics import MetricsRegistry, percentile
 from .client import DesignClient
 
@@ -37,33 +35,6 @@ DEFAULT_APPS = ("canny", "jpeg", "klt", "fluid")
 LATENCY_BUCKETS = (
     0.0005, 0.001, 0.002, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
 )
-
-#: Dotted-path descriptions merged into the bench report's ``schema``.
-BENCH_SCHEMA = {
-    "server.p50_ms": (
-        "median served latency (milliseconds) of a warm-cache design "
-        "request, measured end-to-end at the client"
-    ),
-    "server.p95_ms": (
-        "95th-percentile served latency (milliseconds) of a warm-cache "
-        "design request"
-    ),
-    "server.p99_ms": (
-        "99th-percentile served latency (milliseconds) of a warm-cache "
-        "design request"
-    ),
-    "server.mean_ms": "mean served latency (milliseconds)",
-    "server.throughput_rps": (
-        "completed requests per wall-clock second across all client "
-        "threads"
-    ),
-    "server.error_rate": (
-        "failed requests / total requests in the measured phase "
-        "(429 rejections count as failures); CI gates this at 0"
-    ),
-    "server.requests": "total requests in the measured phase",
-    "server.concurrency": "number of concurrent client threads",
-}
 
 
 @dataclass(frozen=True)
@@ -194,34 +165,6 @@ def run_loadtest(config: LoadtestConfig) -> Dict[str, Any]:
         "wall_s": wall_s,
         "latency_hist": hist,
     }
-
-
-def merge_into_bench(
-    report: Dict[str, Any], bench_path: Union[str, pathlib.Path]
-) -> Dict[str, Any]:
-    """Fold headline loadtest numbers into an existing bench report.
-
-    Returns the merged document (also written back to ``bench_path``).
-    Missing bench file is an error — the loadtest annotates the
-    committed benchmark, it does not replace it.
-    """
-    path = pathlib.Path(bench_path)
-    doc = load_json(path)
-    doc["server"] = {
-        "p50_ms": report["p50_ms"],
-        "p95_ms": report["p95_ms"],
-        "p99_ms": report["p99_ms"],
-        "mean_ms": report["mean_ms"],
-        "throughput_rps": report["throughput_rps"],
-        "error_rate": report["error_rate"],
-        "requests": report["requests"],
-        "concurrency": report["concurrency"],
-    }
-    schema = dict(doc.get("schema", {}))
-    schema.update(BENCH_SCHEMA)
-    doc["schema"] = schema
-    save_json(doc, path)
-    return doc
 
 
 def format_report(report: Dict[str, Any]) -> str:

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..analyze import LINT_KIND
 from ..errors import JobExecutionError, ServiceError
 from ..flow import ExperimentResult
-from ..io import FORMAT_VERSION, save_json
+from ..io import FORMAT_VERSION, save_json_atomic
 from ..obs.profile.report import PROFILE_SET_KIND
 from ..obs.runtime.events import NULL_LOG, EventLog
 from ..obs.trace import Tracer, active
@@ -290,9 +290,29 @@ class DesignService:
                 self.metrics.incr("job_attempts", outcome.attempts)
                 self.metrics.observe("job_latency", outcome.duration_s)
                 if self.profile_dir is not None and outcome.profiles:
-                    self._persist_profiles(jobs[i], fp, outcome.profiles)
+                    self._persist(
+                        self.profile_dir / f"{fp}.profile.json",
+                        {
+                            "kind": PROFILE_SET_KIND,
+                            "version": FORMAT_VERSION,
+                            "app": jobs[i].app,
+                            "fingerprint": fp,
+                            "profiles": outcome.profiles,
+                        },
+                        "profiles_persisted",
+                    )
                 if self.lint_dir is not None and outcome.lint is not None:
-                    self._persist_lint(jobs[i], fp, outcome.lint)
+                    self._persist(
+                        self.lint_dir / f"{fp}.lint.json",
+                        {
+                            "kind": LINT_KIND,
+                            "version": FORMAT_VERSION,
+                            "app": jobs[i].app,
+                            "fingerprint": fp,
+                            "report": outcome.lint,
+                        },
+                        "lints_persisted",
+                    )
                 results[i] = JobResult(
                     job=jobs[i],
                     fingerprint=fp,
@@ -344,46 +364,22 @@ class DesignService:
                 )
         return [r for r in results if r is not None]
 
-    def _persist_profiles(
-        self, job: DesignJob, fingerprint: str,
-        profiles: Dict[str, Dict[str, Any]],
-    ) -> pathlib.Path:
-        """Write one job's profile set under :attr:`profile_dir`."""
-        assert self.profile_dir is not None
-        self.profile_dir.mkdir(parents=True, exist_ok=True)
-        path = self.profile_dir / f"{fingerprint}.profile.json"
-        save_json(
-            {
-                "kind": PROFILE_SET_KIND,
-                "version": FORMAT_VERSION,
-                "app": job.app,
-                "fingerprint": fingerprint,
-                "profiles": profiles,
-            },
-            path,
-        )
-        self.metrics.incr("profiles_persisted")
-        return path
+    def _persist(
+        self, path: pathlib.Path, doc: Dict[str, Any], counter: str
+    ) -> None:
+        """Write one job artifact (profile set or lint report).
 
-    def _persist_lint(
-        self, job: DesignJob, fingerprint: str, lint: Dict[str, Any]
-    ) -> pathlib.Path:
-        """Write one job's lint report under :attr:`lint_dir`."""
-        assert self.lint_dir is not None
-        self.lint_dir.mkdir(parents=True, exist_ok=True)
-        path = self.lint_dir / f"{fingerprint}.lint.json"
-        save_json(
-            {
-                "kind": LINT_KIND,
-                "version": FORMAT_VERSION,
-                "app": job.app,
-                "fingerprint": fingerprint,
-                "report": lint,
-            },
-            path,
-        )
-        self.metrics.incr("lints_persisted")
-        return path
+        A failed write is counted in ``artifact_write_errors`` and does
+        not raise: the job's summary is already cached and returned, and
+        raising here would lose the rest of the batch.
+        """
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_json_atomic(doc, path)
+        except OSError:
+            self.metrics.incr("artifact_write_errors")
+            return
+        self.metrics.incr(counter)
 
     # -- observability -----------------------------------------------------
     def stats(self) -> Dict[str, Any]:

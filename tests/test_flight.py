@@ -20,8 +20,6 @@ from repro.errors import ConfigurationError
 from repro.io import FORMAT_VERSION, canonical_json, save_json
 from repro.obs.flight import (
     FLIGHT_KIND,
-    SAMPLED_PROFILE_KIND,
-    SIM_PHASES,
     FlightRecorder,
     Heartbeat,
     RingTracer,
@@ -191,74 +189,6 @@ class TestStackSampler:
     def test_collapsed_empty_is_empty_string(self):
         assert StackSampler(interval_s=0.001).collapsed() == ""
 
-    def test_speedscope_document_shape(self):
-        sampler = StackSampler(
-            interval_s=0.001, threads=[threading.get_ident()]
-        )
-        sampler.sample_once()
-        sampler.sample_once()
-        doc = sampler.to_speedscope(name="unit")
-        assert doc["kind"] == SAMPLED_PROFILE_KIND
-        assert doc["version"] == FORMAT_VERSION
-        profile = doc["profiles"][0]
-        assert profile["type"] == "sampled"
-        assert len(profile["samples"]) == len(profile["weights"])
-        frames = doc["shared"]["frames"]
-        for row in profile["samples"]:
-            assert all(0 <= idx < len(frames) for idx in row)
-        # weights are seconds: 2 samples x 1ms
-        assert sum(profile["weights"]) == pytest.approx(0.002)
-        assert profile["endValue"] == pytest.approx(
-            sum(profile["weights"])
-        )
-        # the document is JSON-serializable as-is
-        json.dumps(doc)
-
-    def test_phase_attribution_by_innermost_frame(self):
-        sampler = StackSampler(interval_s=0.001)
-        key = (
-            "run (sim/engine.py)",
-            "transfer (sim/bus.py)",
-            "can_advance (sim/engine.py)",
-        )
-        with sampler._lock:
-            sampler._counts[(1, key)] = 3
-            sampler._counts[(1, ("main (repro/cli.py)",))] = 1
-            sampler._samples = 4
-        totals = sampler.phase_totals(SIM_PHASES)
-        # innermost frame (can_advance) wins: fusion, not dispatch
-        assert totals["fusion"] == 3
-        assert totals["dispatch"] == 0
-        assert totals["other"] == 1
-        fractions = sampler.phase_fractions(SIM_PHASES)
-        assert fractions["fusion"] == pytest.approx(0.75)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_phase_fractions_empty_is_all_zero(self):
-        fractions = StackSampler(interval_s=0.001).phase_fractions()
-        assert set(fractions.values()) == {0.0}
-
-    def test_fold_spans_attributes_timeline_to_innermost_span(self):
-        tracer = Tracer()
-        sampler = StackSampler(
-            interval_s=0.001, threads=[threading.get_ident()]
-        )
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                sampler.sample_once()
-        folded = sampler.fold_spans(tracer)
-        assert folded == {"inner": 1}
-
-    def test_fold_spans_outside_any_span(self):
-        tracer = Tracer()
-        sampler = StackSampler(
-            interval_s=0.001, threads=[threading.get_ident()]
-        )
-        sampler.sample_once()
-        with tracer.span("later"):
-            pass
-        assert sampler.fold_spans(tracer) == {"(no span)": 1}
-
     def test_rejects_absurd_interval_and_depth(self):
         with pytest.raises(ConfigurationError):
             StackSampler(interval_s=1e-6)
@@ -397,7 +327,7 @@ class TestFlightReport:
 
     def test_load_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "not-flight.json"
-        save_json({"kind": "bench-report", "version": FORMAT_VERSION},
+        save_json({"kind": "loadtest-report", "version": FORMAT_VERSION},
                   path)
         with pytest.raises(ConfigurationError):
             load_flight_report(path)

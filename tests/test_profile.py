@@ -492,40 +492,3 @@ class TestCli:
         assert code == 1
         assert "add --simulate" in capsys.readouterr().err
         assert not (tmp_path / "profs").exists()
-
-    def test_bench_writes_report_and_gates(self, capsys, tmp_path):
-        from repro.bench import BENCH_KIND
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main([
-            "bench", "--apps", "jpeg", "--repeat", "1",
-            "--out", str(out), "--max-overhead", "1000",
-        ])
-        assert code == 0
-        data = json.loads(out.read_text())
-        assert data["kind"] == BENCH_KIND
-        row = data["apps"]["jpeg"]
-        assert set(row) == {
-            "design_s", "sim_baseline_s", "sim_proposed_s",
-            "sim_proposed_profiled_s",
-            "profile_build_s", "profiler_overhead", "lint_s",
-            "trace_fit_s", "static_s", "static_speedup",
-        }
-        assert row["static_s"] > 0 and row["trace_fit_s"] > 0
-        assert all(field in data["schema"] for field in (
-            "apps.<name>.profiler_overhead", "service.batch_cold_s",
-            "apps.<name>.static_s", "apps.<name>.static_speedup",
-        ))
-        assert "profiler overhead gate ok" in capsys.readouterr().out
-
-    def test_bench_gate_failure_exit_code(self, capsys, tmp_path):
-        from repro.cli import main
-
-        # An impossible bound must trip the gate.
-        code = main([
-            "bench", "--apps", "jpeg", "--repeat", "1",
-            "--max-overhead", "0.0001",
-        ])
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().err

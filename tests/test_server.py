@@ -700,6 +700,45 @@ class TestTruncatedStream:
         assert err.status == 0
         assert "truncated" in str(err)
 
+    @pytest.mark.parametrize(
+        "body", [b'{"kind": "design-resp', b""], ids=["cut-json", "empty"]
+    )
+    def test_bad_json_2xx_body_raises_protocol_error(self, body):
+        """A 2xx body that is not JSON is an error, not an empty doc."""
+        response = (
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"\r\n" + body
+        )
+        err = _cut_connection_after(
+            response, "fin", lambda url: DesignClient(url).design("klt")
+        )
+        assert isinstance(err, ProtocolError)
+        assert err.status == 200
+        assert "not valid JSON" in str(err)
+
+    def test_malformed_stream_event_raises_protocol_error(self):
+        response = (
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: text/event-stream\r\n"
+            b"Connection: close\r\n"
+            b"\r\n"
+            b"event: point\r\n"
+            b'data: {"app": "kl\r\n'
+            b"\r\n"
+            b"event: done\r\n"
+            b'data: {"count": 1}\r\n'
+            b"\r\n"
+        )
+        err = _cut_connection_after(
+            response, "fin",
+            lambda url: list(DesignClient(url).sweep_stream(["klt"])),
+        )
+        assert isinstance(err, ProtocolError)
+        assert err.status == 200
+        assert "'point'" in str(err)
+
     def test_complete_stream_does_not_raise(self, server):
         client = DesignClient(server.url, tenant="pytest")
         events = list(client.sweep_stream(["canny"], scales=[1]))

@@ -272,6 +272,28 @@ class TestResultCacheWriteFailures:
             service.close()
 
 
+class TestArtifactWriteFailures:
+    @pytest.mark.parametrize("directory", ["profile_dir", "lint_dir"])
+    def test_failed_artifact_write_keeps_the_batch(self, tmp_path, directory):
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        klt, jpeg = DesignJob("klt"), DesignJob("jpeg")
+        service = DesignService(jobs=1, **{directory: blocker / "out"})
+        try:
+            results = service.submit_many([klt, jpeg, klt])
+            assert [r.job.app for r in results] == ["klt", "jpeg", "klt"]
+            assert results[2].coalesced
+            assert results[2].summary == results[0].summary
+            assert service.metrics.counter("jobs_completed") == 2
+            for result in results[:2]:
+                assert service.cache.get(result.fingerprint) == result.summary
+            assert service.metrics.counter("artifact_write_errors") == 2
+            assert "artifact_write_errors" in service.render_stats()
+            assert service._inflight == {}
+        finally:
+            service.close()
+
+
 class TestMetrics:
     def test_percentiles_nearest_rank(self):
         values = [float(v) for v in range(1, 101)]

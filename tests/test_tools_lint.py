@@ -332,7 +332,7 @@ def test_determinism_scope_is_sim_core_and_apps():
     assert lint_repro._in_deterministic_scope(src / "core" / "designer.py")
     assert lint_repro._in_deterministic_scope(src / "apps" / "fluid.py")
     assert not lint_repro._in_deterministic_scope(src / "verify" / "generate.py")
-    assert not lint_repro._in_deterministic_scope(src / "bench.py")
+    assert not lint_repro._in_deterministic_scope(src / "sweep.py")
 
 
 def test_silent_scope_is_server_and_obs_only():
