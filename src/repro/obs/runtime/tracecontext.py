@@ -8,7 +8,7 @@ A request's identity on the wire is a ``traceparent`` header::
 ``DesignClient`` mints a fresh context per request; ``DesignServer``
 parses it (or mints its own for clients that send none) and threads the
 ``trace_id`` through admission → quota → cache lookup (a hit ends
-there) → ``submit_many`` → ``run_job_instrumented``, so the spans each
+there) → ``submit_many`` → ``run_job``, so the spans each
 process records can be merged into one connected per-request trace,
 and every event in the runtime
 :class:`~repro.obs.runtime.events.EventLog` can be joined back to the

@@ -5,17 +5,19 @@ throughput-oriented engine for high-volume studies:
 
 * :class:`DesignJob` — immutable, content-addressed job spec;
 * :class:`ResultCache` — two-tier (LRU + on-disk JSON) result cache;
-* :class:`JobRunner` / :class:`ExecutorConfig` — parallel execution
-  with timeout, retry, and serial fallback;
+* :func:`run_job` — the one job body, returning a :class:`JobResult`;
+* :class:`JobRunner` / :class:`ExecutorConfig` — runs batches of jobs
+  in-process or in a worker pool, with timeout, retry, and serial
+  fallback;
 * :class:`MetricsRegistry` — counters and latency percentiles;
 * :class:`DesignService` — the facade (``submit`` / ``submit_many`` /
   ``stats``) that :func:`repro.sweep.run_sweep` and the ``repro sweep``
   CLI execute through.
 """
 
-from .api import DesignService, JobResult
+from .api import DesignService
 from .cache import CacheStats, ResultCache
-from .executor import ExecutorConfig, JobOutcome, JobRunner, execute_job, run_job_summary
+from .executor import ExecutorConfig, JobResult, JobRunner, run_job
 from .jobs import DesignJob, job_for_point
 from .metrics import MetricsRegistry, percentile
 
@@ -24,13 +26,11 @@ __all__ = [
     "DesignJob",
     "DesignService",
     "ExecutorConfig",
-    "JobOutcome",
     "JobResult",
     "JobRunner",
     "MetricsRegistry",
     "ResultCache",
-    "execute_job",
     "job_for_point",
     "percentile",
-    "run_job_summary",
+    "run_job",
 ]

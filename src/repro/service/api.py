@@ -24,46 +24,18 @@ from __future__ import annotations
 import pathlib
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analyze import LINT_KIND
 from ..errors import JobExecutionError, ServiceError
-from ..flow import ExperimentResult
 from ..io import FORMAT_VERSION, save_json_atomic
 from ..obs.profile.report import PROFILE_SET_KIND
 from ..obs.runtime.events import NULL_LOG, EventLog
 from ..obs.trace import Tracer, active
 from .cache import ResultCache
-from .executor import ExecutorConfig, JobRunner
+from .executor import ExecutorConfig, JobResult, JobRunner, align_trace_ids
 from .jobs import DesignJob
 from .metrics import MetricsRegistry
-
-
-@dataclass(frozen=True)
-class JobResult:
-    """One job's outcome as served to the caller."""
-
-    job: DesignJob
-    fingerprint: str
-    summary: Dict[str, Any]
-    #: Served from the result cache (no computation this call).
-    cached: bool = False
-    #: Deduplicated against an identical job earlier in the same batch.
-    coalesced: bool = False
-    attempts: int = 0
-    duration_s: float = 0.0
-    #: Full result object; ``None`` for cached/pool-computed jobs.
-    result: Optional[ExperimentResult] = None
-    #: Simulation profiles (JSON-safe dicts keyed by system label);
-    #: populated only for freshly computed jobs of a profiling service.
-    profiles: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Serialized static-analysis report; populated only for freshly
-    #: computed jobs of a linting service (``lint_dir`` set).
-    lint: Optional[Dict[str, Any]] = None
-    #: Collapsed-stack wall-clock samples; populated only for freshly
-    #: computed jobs of a sampling service (``sample_interval_s`` set).
-    samples: Optional[str] = None
 
 
 class DesignService:
@@ -108,7 +80,7 @@ class DesignService:
         self._runner = JobRunner(
             executor_config,
             runner=runner,
-            tracer=self.tracer if self.tracer.enabled else None,
+            tracer=self.tracer,
             metrics=self.metrics if self.tracer.enabled else None,
             profile=self.profile_dir is not None,
             lint=self.lint_dir is not None,
@@ -222,15 +194,7 @@ class DesignService:
         if self._closed:
             raise ServiceError("design service is closed")
         jobs = list(jobs)
-        if trace_ids is None:
-            tids: List[str] = [""] * len(jobs)
-        else:
-            tids = ["" if t is None else str(t) for t in trace_ids]
-            if len(tids) != len(jobs):
-                raise ServiceError(
-                    f"trace_ids length {len(tids)} does not match "
-                    f"{len(jobs)} jobs"
-                )
+        tids = align_trace_ids(jobs, trace_ids)
         self.metrics.incr("jobs_submitted", len(jobs))
         fingerprints = [job.fingerprint() for job in jobs]
 
@@ -313,17 +277,7 @@ class DesignService:
                         },
                         "lints_persisted",
                     )
-                results[i] = JobResult(
-                    job=jobs[i],
-                    fingerprint=fp,
-                    summary=outcome.summary,
-                    attempts=outcome.attempts,
-                    duration_s=outcome.duration_s,
-                    result=outcome.result,
-                    profiles=outcome.profiles,
-                    lint=outcome.lint,
-                    samples=outcome.samples,
-                )
+                results[i] = outcome
                 owned[fp].set_result(outcome.summary)
         except BaseException as exc:
             # Resolve owned futures (with the real failure) *before*

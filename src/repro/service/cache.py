@@ -108,6 +108,16 @@ class ResultCache:
         assert self.cache_dir is not None
         return self.cache_dir / f"{fingerprint}.json"
 
+    def _read_disk(self, fingerprint: str) -> Dict[str, Any]:
+        """One disk entry's summary; raises if it is missing or unusable."""
+        path = self._disk_path(fingerprint)
+        doc = reproio.load_json(path)
+        reproio.validate_document(doc, RESULT_KIND)
+        if doc.get("fingerprint") != fingerprint:
+            raise CacheError(f"fingerprint mismatch in {path.name}")
+        summary: Dict[str, Any] = doc["summary"]
+        return summary
+
     def _load_disk(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """Read one disk entry; invalidate anything unusable."""
         if self.cache_dir is None:
@@ -116,11 +126,7 @@ class ResultCache:
         if not path.exists():
             return None
         try:
-            doc = reproio.load_json(path)
-            reproio.validate_document(doc, RESULT_KIND)
-            if doc.get("fingerprint") != fingerprint:
-                raise CacheError(f"fingerprint mismatch in {path.name}")
-            return doc["summary"]
+            return self._read_disk(fingerprint)
         except Exception:
             # Stale format version, truncated write, hand-edited file —
             # all the same to us: drop it and recompute.
@@ -180,16 +186,8 @@ class ResultCache:
                 return self._memory[fingerprint]
         if not disk or self.cache_dir is None:
             return None
-        path = self._disk_path(fingerprint)
-        if not path.exists():
-            return None
         try:
-            doc = reproio.load_json(path)
-            reproio.validate_document(doc, RESULT_KIND)
-            if doc.get("fingerprint") != fingerprint:
-                return None
-            summary: Dict[str, Any] = doc["summary"]
-            return summary
+            return self._read_disk(fingerprint)
         except Exception:
             return None
 

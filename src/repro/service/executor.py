@@ -1,9 +1,17 @@
 """Parallel job execution with timeout, retry, and serial fallback.
 
-The profile→design→simulate pipeline is CPU-bound pure Python, so
-process-level parallelism is the only kind that helps; :class:`JobRunner`
-drives a :class:`concurrent.futures.ProcessPoolExecutor` when more than
-one worker is requested and the platform can actually fork one, and
+:func:`run_job` is the one job body: it runs the profile→design→simulate
+pipeline for a :class:`DesignJob` under a root ``job`` span, samples its
+stack when asked, counts it in a metrics registry, and returns a
+:class:`JobResult`. Serial execution calls it in-process with the
+runner's shared tracer and registry; pool workers call it through
+:func:`_pool_job`, which ships the result and the worker's spans and
+metrics home for :class:`JobRunner` to merge.
+
+The pipeline is CPU-bound pure Python, so process-level parallelism is
+the only kind that helps; :class:`JobRunner` drives a
+:class:`concurrent.futures.ProcessPoolExecutor` when more than one
+worker is requested and the platform can actually fork one, and
 degrades gracefully to in-process serial execution otherwise (no pool
 support, single worker, or an injected runner that cannot be pickled).
 
@@ -22,80 +30,69 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import JobExecutionError, JobTimeoutError, ServiceError
 from ..flow import ExperimentResult, result_summary, run_experiment
 from ..obs.profile.report import profile_to_dict
 from ..obs.runtime.events import NULL_LOG, EventLog
-from ..obs.trace import Tracer
+from ..obs.trace import NULL_TRACER, Tracer, active
 from .jobs import DesignJob
 from .metrics import MetricsRegistry
 
 
-def execute_job(
+@dataclass(frozen=True)
+class JobResult:
+    """One job's outcome as served to the caller."""
+
+    job: DesignJob
+    fingerprint: str
+    summary: Dict[str, Any]
+    #: Served from the result cache (no computation this call).
+    cached: bool = False
+    #: Deduplicated against an identical job earlier in the same batch.
+    coalesced: bool = False
+    attempts: int = 0
+    duration_s: float = 0.0
+    #: Full result object; ``None`` for cached/pool-computed jobs.
+    result: Optional[ExperimentResult] = None
+    #: Simulation profiles (JSON-safe dicts keyed by system label);
+    #: populated only for freshly computed jobs of a profiling service.
+    profiles: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Serialized static-analysis report; populated only for freshly
+    #: computed jobs of a linting service (``lint_dir`` set).
+    lint: Optional[Dict[str, Any]] = None
+    #: Collapsed-stack wall-clock samples; populated only for freshly
+    #: computed jobs of a sampling service (``sample_interval_s`` set).
+    samples: Optional[str] = None
+
+
+def run_job(
     job: DesignJob,
-    tracer: Optional[Tracer] = None,
+    tracer: Tracer = NULL_TRACER,
+    metrics: Optional[MetricsRegistry] = None,
     profile: bool = False,
     lint: bool = False,
-) -> Tuple[ExperimentResult, Dict[str, Any]]:
-    """Run one job in-process; returns the full result and its summary.
-
-    The job's ``graph_source`` is fingerprinted: static and traced
-    graphs legitimately differ on data-dependent edges, so their
-    results are cached separately.
-    """
-    result = run_experiment(
-        job.app,
-        scale=job.scale,
-        seed=job.seed,
-        params=job.params,
-        simulate=job.simulate,
-        design_overrides=job.design_overrides or None,
-        trace=tracer,
-        profile=profile,
-        lint=lint,
-        graph_source=job.graph_source,
-    )
-    return result, result_summary(result)
-
-
-def run_job_summary(job: DesignJob) -> Dict[str, Any]:
-    """Pool-friendly entry point: summary only (JSON/pickle-safe)."""
-    return execute_job(job)[1]
-
-
-def run_job_instrumented(
-    job: DesignJob, profile: bool = False, lint: bool = False,
     trace_id: str = "",
     sample_interval_s: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Pool entry point shipping observability home with the summary.
+) -> JobResult:
+    """Run one job in this process and return its full result.
 
-    The worker process builds its own tracer and registry (neither can
-    cross the process boundary live), then returns their picklable raw
-    forms: span dicts for :meth:`repro.obs.trace.Tracer.merge` and a
-    registry :meth:`~repro.service.metrics.MetricsRegistry.dump` for
-    :meth:`~repro.service.metrics.MetricsRegistry.merge`. With
-    ``profile`` the worker also ships each system's simulation profile
-    as its JSON-safe dict form, and with ``lint`` the serialized static
+    The whole execution runs inside a root ``job`` span carrying the
+    request's W3C ``trace_id`` (empty for untraced callers), so the
+    pipeline spans below it join the server-side trace. ``metrics``
+    counts the job in ``worker_jobs``/``worker_job_seconds``. With
+    ``profile`` the result carries each system's simulation profile as
+    its JSON-safe dict form, and with ``lint`` the serialized static
     analysis report.
-
-    ``trace_id`` is the request's W3C trace id (empty for untraced
-    callers): the worker's whole execution runs inside a root ``job``
-    span carrying it, so after the merge the server-side span tree and
-    the worker-side one join into a single per-request trace.
 
     ``sample_interval_s`` attaches a wall-clock stack sampler
     (:class:`repro.obs.flight.StackSampler` — thread-based, so it works
-    here where signal-based profilers cannot) to this job's thread for
-    the duration of the run; the collapsed-stack text ships home in the
-    payload's ``samples`` field, ready for flamegraph tooling.
+    in pool workers where signal-based profilers cannot) to this thread
+    for the duration of the run; the collapsed-stack text rides in
+    :attr:`JobResult.samples`, ready for flamegraph tooling.
     """
-    tracer = Tracer()
-    registry = MetricsRegistry()
     sampler = None
     if sample_interval_s is not None:
         from ..obs.flight.sampler import StackSampler
@@ -109,26 +106,77 @@ def run_job_instrumented(
     try:
         with tracer.span("job", category="worker", app=job.app,
                          trace_id=trace_id):
-            result, summary = execute_job(
-                job, tracer=tracer, profile=profile, lint=lint
+            result = run_experiment(
+                job.app,
+                scale=job.scale,
+                seed=job.seed,
+                params=job.params,
+                simulate=job.simulate,
+                design_overrides=job.design_overrides or None,
+                trace=tracer,
+                profile=profile,
+                lint=lint,
+                graph_source=job.graph_source,
             )
     finally:
         if sampler is not None:
             sampler.stop()
-    registry.observe("worker_job_seconds", time.perf_counter() - start,
-                     labels={"app": job.app})
-    registry.incr("worker_jobs", labels={"app": job.app})
-    return {
-        "summary": summary,
-        "spans": tracer.as_dicts(),
-        "metrics": registry.dump(),
-        "profiles": {
+    duration_s = time.perf_counter() - start
+    if metrics is not None:
+        metrics.observe("worker_job_seconds", duration_s,
+                        labels={"app": job.app})
+        metrics.incr("worker_jobs", labels={"app": job.app})
+    return JobResult(
+        job=job,
+        fingerprint=job.fingerprint(),
+        summary=result_summary(result),
+        duration_s=duration_s,
+        result=result,
+        profiles={
             system: profile_to_dict(p)
             for system, p in result.profiles.items()
         },
-        "lint": None if result.lint is None else result.lint.to_dict(),
-        "samples": None if sampler is None else sampler.collapsed(),
-    }
+        lint=None if result.lint is None else result.lint.to_dict(),
+        samples=None if sampler is None else sampler.collapsed(),
+    )
+
+
+def _pool_job(
+    job: DesignJob, trace_id: str, instrumented: bool, profile: bool,
+    lint: bool, sample_interval_s: Optional[float],
+) -> Tuple[JobResult, List[Dict[str, Any]], Optional[Dict[str, Any]]]:
+    """Pool entry point: :func:`run_job` with picklable observability.
+
+    Neither a tracer nor a registry can cross the process boundary
+    live, so an instrumented worker records into fresh ones. Returns
+    the result without its rich ``.result``, the span dicts for
+    :meth:`repro.obs.trace.Tracer.merge`, and the registry dump for
+    :meth:`~repro.service.metrics.MetricsRegistry.merge` (``None`` when
+    not instrumented).
+    """
+    tracer = Tracer() if instrumented else NULL_TRACER
+    metrics = MetricsRegistry() if instrumented else None
+    result = run_job(job, tracer, metrics, profile, lint, trace_id,
+                     sample_interval_s)
+    return (
+        replace(result, result=None),
+        tracer.as_dicts(),
+        None if metrics is None else metrics.dump(),
+    )
+
+
+def align_trace_ids(
+    jobs: Sequence[DesignJob], trace_ids: Optional[Sequence[str]]
+) -> List[str]:
+    """One trace id per job (``""`` where none was given)."""
+    if trace_ids is None:
+        return [""] * len(jobs)
+    ids = ["" if t is None else str(t) for t in trace_ids]
+    if len(ids) != len(jobs):
+        raise ServiceError(
+            f"trace_ids length {len(ids)} does not match {len(jobs)} jobs"
+        )
+    return ids
 
 
 @dataclass(frozen=True)
@@ -142,43 +190,21 @@ class ExecutorConfig:
     retries: int = 2
     backoff_s: float = 0.05
     backoff_factor: float = 2.0
-    force_serial: bool = False
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based)."""
         return self.backoff_s * (self.backoff_factor ** (attempt - 1))
 
 
-@dataclass
-class JobOutcome:
-    """What one successfully executed job produced."""
-
-    job: DesignJob
-    summary: Dict[str, Any]
-    #: Full result, only available from in-process (serial) execution.
-    result: Optional[ExperimentResult]
-    attempts: int
-    duration_s: float
-    #: Simulation profiles (JSON-safe dicts keyed by system label),
-    #: populated only when the runner executes with ``profile=True``.
-    profiles: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Serialized static-analysis report (``AnalysisReport.to_dict()``),
-    #: populated only when the runner executes with ``lint=True``.
-    lint: Optional[Dict[str, Any]] = None
-    #: Collapsed-stack text from the wall-clock sampler, populated only
-    #: when the runner executes with ``sample_interval_s`` set.
-    samples: Optional[str] = None
-
-
 class JobRunner:
     """Executes batches of :class:`DesignJob`, parallel when possible.
 
-    With a ``tracer`` and/or ``metrics`` registry attached, execution is
-    instrumented end to end: serial jobs trace straight into the shared
-    tracer; pool jobs run :func:`run_job_instrumented` in the worker and
-    the runner merges the returned spans/metrics on arrival. Injected
-    custom ``runner`` callables are never wrapped — their payload shape
-    is the caller's contract.
+    Every job runs :func:`run_job`: serial jobs in-process, tracing and
+    counting straight into the shared ``tracer`` and ``metrics``; pool
+    jobs in a worker through :func:`_pool_job`, whose spans and metrics
+    the runner merges on arrival. Injected custom ``runner`` callables
+    replace :func:`run_job` and are never wrapped — they take a job and
+    return its summary, and carry no profiles, lint, samples or spans.
     """
 
     def __init__(
@@ -194,7 +220,7 @@ class JobRunner:
     ) -> None:
         self.config = config
         self._runner = runner
-        self.tracer = tracer
+        self.tracer = active(tracer)
         self.metrics = metrics
         #: Wall-clock stack-sampling interval for executed jobs
         #: (``None`` = no sampling). Ignored for injected custom
@@ -225,17 +251,14 @@ class JobRunner:
 
     @property
     def _instrumented(self) -> bool:
-        """Whether default execution should collect spans/metrics."""
-        return self._runner is None and (
-            (self.tracer is not None and self.tracer.enabled)
-            or self.metrics is not None
-        )
+        """Whether pool workers should ship spans/metrics home."""
+        return self.tracer.enabled or self.metrics is not None
 
     def run(
         self,
         jobs: Sequence[DesignJob],
         trace_ids: Optional[Sequence[str]] = None,
-    ) -> List[JobOutcome]:
+    ) -> List[JobResult]:
         """Execute all jobs; preserves input order in the output.
 
         ``trace_ids`` (aligned with ``jobs``) carries each request's
@@ -246,7 +269,7 @@ class JobRunner:
         if self._closed:
             raise ServiceError("job runner is closed")
         jobs = list(jobs)
-        ids = self._aligned_trace_ids(jobs, trace_ids)
+        ids = align_trace_ids(jobs, trace_ids)
         if not jobs:
             return []
         pool = self._acquire_pool()
@@ -259,20 +282,6 @@ class JobRunner:
             return outcomes
         self.last_mode = "parallel"
         return self._run_pool(pool, jobs, ids)
-
-    @staticmethod
-    def _aligned_trace_ids(
-        jobs: Sequence[DesignJob], trace_ids: Optional[Sequence[str]]
-    ) -> List[str]:
-        if trace_ids is None:
-            return [""] * len(jobs)
-        ids = ["" if t is None else str(t) for t in trace_ids]
-        if len(ids) != len(jobs):
-            raise ServiceError(
-                f"trace_ids length {len(ids)} does not match "
-                f"{len(jobs)} jobs"
-            )
-        return ids
 
     def close(self) -> None:
         """Shut the worker pool down and reap its processes.
@@ -290,7 +299,7 @@ class JobRunner:
 
     # -- serial -----------------------------------------------------------
     def _acquire_pool(self) -> Optional[ProcessPoolExecutor]:
-        if self.config.jobs <= 1 or self.config.force_serial:
+        if self.config.jobs <= 1:
             return None
         if self._runner is not None and not _is_picklable(self._runner):
             return None
@@ -316,84 +325,24 @@ class JobRunner:
         if self.events.enabled:
             self.events.emit("pool_recycle", reason=reason)
 
-    def _make_sampler(self) -> Optional[Any]:
-        """A started stack sampler over this thread, if configured."""
-        if self._runner is not None or self.sample_interval_s is None:
-            return None
-        from ..obs.flight.sampler import StackSampler
-
-        sampler = StackSampler(
-            interval_s=self.sample_interval_s,
-            threads=[threading.get_ident()],
-        )
-        sampler.start()
-        return sampler
-
-    def _run_serial(self, job: DesignJob, trace_id: str = "") -> JobOutcome:
+    def _run_serial(self, job: DesignJob, trace_id: str = "") -> JobResult:
         last_error = ""
         for attempt in range(1, self.config.retries + 2):
             start = time.perf_counter()
-            sampler = self._make_sampler()
             try:
-                profiles: Dict[str, Dict[str, Any]] = {}
-                lint: Optional[Dict[str, Any]] = None
                 if self._runner is not None:
-                    summary = self._runner(job)
-                    result = None
+                    outcome = _summary_result(job, self._runner(job))
                 else:
-                    if self.tracer is not None and self.tracer.enabled:
-                        # Root "job" span carries the request's trace id
-                        # so the pipeline spans below it join the HTTP
-                        # trace.
-                        with self.tracer.span(
-                            "job", category="worker", app=job.app,
-                            trace_id=trace_id,
-                        ):
-                            result, summary = execute_job(
-                                job, tracer=self.tracer,
-                                profile=self.profile, lint=self.lint,
-                            )
-                    else:
-                        result, summary = execute_job(
-                            job, tracer=self.tracer,
-                            profile=self.profile, lint=self.lint,
-                        )
-                    profiles = {
-                        system: profile_to_dict(p)
-                        for system, p in result.profiles.items()
-                    }
-                    if result.lint is not None:
-                        lint = result.lint.to_dict()
-                    if self.metrics is not None:
-                        self.metrics.observe(
-                            "worker_job_seconds",
-                            time.perf_counter() - start,
-                            labels={"app": job.app},
-                        )
-                        self.metrics.incr(
-                            "worker_jobs", labels={"app": job.app}
-                        )
-                if sampler is not None:
-                    sampler.stop()
-                return JobOutcome(
-                    job=job,
-                    summary=summary,
-                    result=result,
-                    attempts=attempt,
-                    duration_s=time.perf_counter() - start,
-                    profiles=profiles,
-                    lint=lint,
-                    samples=(
-                        sampler.collapsed() if sampler is not None else None
-                    ),
-                )
+                    outcome = run_job(
+                        job, self.tracer, self.metrics, self.profile,
+                        self.lint, trace_id, self.sample_interval_s,
+                    )
+                return replace(outcome, attempts=attempt,
+                               duration_s=time.perf_counter() - start)
             except Exception as exc:
                 last_error = str(exc) or type(exc).__name__
                 if attempt <= self.config.retries:
                     time.sleep(self.config.backoff_for(attempt))
-            finally:
-                if sampler is not None:
-                    sampler.stop()
         raise JobExecutionError(
             f"job {job.app} failed after {self.config.retries + 1} attempts: "
             f"{last_error}",
@@ -405,24 +354,9 @@ class JobRunner:
     # -- parallel ---------------------------------------------------------
     def _run_pool(
         self, pool: ProcessPoolExecutor, jobs: List[DesignJob],
-        trace_ids: Optional[List[str]] = None,
-    ) -> List[JobOutcome]:
-        trace_ids = trace_ids or [""] * len(jobs)
-        wrapped = self._runner is None and (
-            self._instrumented or self.profile or self.lint
-            or self.sample_interval_s is not None
-        )
-        if self._runner is not None:
-            func = self._runner
-        elif wrapped:
-            # partial (not a lambda) so the callable stays picklable.
-            func = partial(
-                run_job_instrumented, profile=self.profile, lint=self.lint,
-                sample_interval_s=self.sample_interval_s,
-            )
-        else:
-            func = run_job_summary
-        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
+        trace_ids: List[str],
+    ) -> List[JobResult]:
+        outcomes: List[Optional[JobResult]] = [None] * len(jobs)
         attempts = [0] * len(jobs)
         pending = list(range(len(jobs)))
         while pending:
@@ -431,36 +365,22 @@ class JobRunner:
             for i in pending:
                 attempts[i] += 1
                 starts[i] = time.perf_counter()
-                if wrapped:
-                    # Only the instrumented entry point knows what to do
-                    # with a trace id; plain/custom runners keep their
-                    # one-argument contract.
-                    futures[i] = pool.submit(
-                        func, jobs[i], trace_id=trace_ids[i]
-                    )
+                if self._runner is not None:
+                    futures[i] = pool.submit(self._runner, jobs[i])
                 else:
-                    futures[i] = pool.submit(func, jobs[i])
+                    futures[i] = pool.submit(
+                        _pool_job, jobs[i], trace_ids[i], self._instrumented,
+                        self.profile, self.lint, self.sample_interval_s,
+                    )
             failed: List[Tuple[int, str, bool]] = []
             recycle = False
             for i in pending:
                 try:
-                    summary = futures[i].result(timeout=self.config.timeout_s)
-                    profiles: Dict[str, Dict[str, Any]] = {}
-                    lint: Optional[Dict[str, Any]] = None
-                    samples: Optional[str] = None
-                    if wrapped:
-                        summary, profiles, lint, samples = (
-                            self._absorb_payload(summary)
-                        )
-                    outcomes[i] = JobOutcome(
-                        job=jobs[i],
-                        summary=summary,
-                        result=None,
+                    payload = futures[i].result(timeout=self.config.timeout_s)
+                    outcomes[i] = replace(
+                        self._absorb_payload(jobs[i], payload),
                         attempts=attempts[i],
                         duration_s=time.perf_counter() - starts[i],
-                        profiles=profiles,
-                        lint=lint,
-                        samples=samples,
                     )
                 except FutureTimeout:
                     futures[i].cancel()
@@ -500,30 +420,25 @@ class JobRunner:
                 time.sleep(self.config.backoff_for(max(attempts[i] for i in pending)))
         return [o for o in outcomes if o is not None]
 
-    def _absorb_payload(
-        self, payload: Dict[str, Any]
-    ) -> Tuple[
-        Dict[str, Any],
-        Dict[str, Dict[str, Any]],
-        Optional[Dict[str, Any]],
-        Optional[str],
-    ]:
-        """Merge a :func:`run_job_instrumented` payload.
+    def _absorb_payload(self, job: DesignJob, payload: Any) -> JobResult:
+        """Turn what a worker returned into the job's result.
 
-        Returns the job summary plus any simulation profiles, lint
-        report, and collapsed stack samples the worker shipped
-        alongside it.
+        A custom runner returns the bare summary; :func:`_pool_job`
+        returns the result with spans and metrics, which are merged
+        into this runner's tracer and registry.
         """
-        if self.tracer is not None:
-            self.tracer.merge(payload.get("spans", ()))
-        if self.metrics is not None:
-            self.metrics.merge(payload.get("metrics", {}))
-        return (
-            payload["summary"],
-            payload.get("profiles", {}),
-            payload.get("lint"),
-            payload.get("samples"),
-        )
+        if self._runner is not None:
+            return _summary_result(job, payload)
+        result, spans, metrics = payload
+        self.tracer.merge(spans)
+        if self.metrics is not None and metrics is not None:
+            self.metrics.merge(metrics)
+        return result
+
+
+def _summary_result(job: DesignJob, summary: Dict[str, Any]) -> JobResult:
+    """Wrap a custom runner's bare summary."""
+    return JobResult(job=job, fingerprint=job.fingerprint(), summary=summary)
 
 
 def _is_picklable(obj: Any) -> bool:

@@ -231,6 +231,23 @@ class TestResultCacheWriteFailures:
                 assert cache.stats.invalidations == 1, cut
                 assert not path.exists(), cut
 
+    def test_peek_reads_disk_without_side_effects(self, tmp_path):
+        ResultCache(cache_dir=tmp_path).put("fp", SUMMARY)
+        path = tmp_path / "fp.json"
+        data = path.read_bytes()
+        cache = ResultCache(cache_dir=tmp_path)
+        assert cache.peek("fp") == SUMMARY
+        assert cache.peek("fp", disk=False) is None
+        path.rename(tmp_path / "other.json")  # a foreign fingerprint
+        assert cache.peek("other") is None
+        (tmp_path / "other.json").rename(path)
+        path.write_bytes(data[: len(data) // 2])
+        assert cache.peek("fp") is None
+        assert cache.peek("missing") is None
+        assert path.exists()  # peek never invalidates
+        assert cache.stats.as_dict() == ResultCache().stats.as_dict()
+        assert len(cache) == 0
+
     def test_batch_survives_failed_cache_writes(self, tmp_path, monkeypatch):
         from repro.server import DesignClient, ServerConfig, start_in_thread
 
