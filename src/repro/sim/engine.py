@@ -420,9 +420,15 @@ class Resource:
         """Requests currently waiting for a grant."""
         return len(self._waiters)
 
-    def request(self, key: object = None) -> Event:
-        """Event that triggers when the resource is granted."""
-        ev = Event(self.engine)
+    def request(self, key: object = None, ev: Optional[Event] = None) -> Event:
+        """Event that triggers when the resource is granted.
+
+        A caller may pass its own untriggered ``ev`` — an :class:`Event`
+        subclass that carries the requester's state for whoever grants
+        it — to be queued and granted in place of a fresh event.
+        """
+        if ev is None:
+            ev = Event(self.engine)
         if self._in_use < self.capacity:
             self._grant(ev)
         else:
