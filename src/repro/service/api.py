@@ -81,7 +81,7 @@ class DesignService:
             executor_config,
             runner=runner,
             tracer=self.tracer,
-            metrics=self.metrics if self.tracer.enabled else None,
+            metrics=self.metrics,
             profile=self.profile_dir is not None,
             lint=self.lint_dir is not None,
             events=self.events,

@@ -142,20 +142,22 @@ def run_job(
 
 
 def _pool_job(
-    job: DesignJob, trace_id: str, instrumented: bool, profile: bool,
-    lint: bool, sample_interval_s: Optional[float],
+    job: DesignJob, trace_id: str, traced: bool, metered: bool,
+    profile: bool, lint: bool, sample_interval_s: Optional[float],
 ) -> Tuple[JobResult, List[Dict[str, Any]], Optional[Dict[str, Any]]]:
     """Pool entry point: :func:`run_job` with picklable observability.
 
     Neither a tracer nor a registry can cross the process boundary
-    live, so an instrumented worker records into fresh ones. Returns
-    the result without its rich ``.result``, the span dicts for
+    live, so the worker records into fresh ones: a :class:`Tracer` only
+    when the runner traces (an untraced worker stays span-free), a
+    :class:`MetricsRegistry` only when the runner counts. Returns the
+    result without its rich ``.result``, the span dicts for
     :meth:`repro.obs.trace.Tracer.merge`, and the registry dump for
     :meth:`~repro.service.metrics.MetricsRegistry.merge` (``None`` when
-    not instrumented).
+    not counting).
     """
-    tracer = Tracer() if instrumented else NULL_TRACER
-    metrics = MetricsRegistry() if instrumented else None
+    tracer = Tracer() if traced else NULL_TRACER
+    metrics = MetricsRegistry() if metered else None
     result = run_job(job, tracer, metrics, profile, lint, trace_id,
                      sample_interval_s)
     return (
@@ -248,11 +250,6 @@ class JobRunner:
         # every one of them and starves the server's event loop.
         self._serial_lock = threading.Lock()
         self._closed = False
-
-    @property
-    def _instrumented(self) -> bool:
-        """Whether pool workers should ship spans/metrics home."""
-        return self.tracer.enabled or self.metrics is not None
 
     def run(
         self,
@@ -369,8 +366,9 @@ class JobRunner:
                     futures[i] = pool.submit(self._runner, jobs[i])
                 else:
                     futures[i] = pool.submit(
-                        _pool_job, jobs[i], trace_ids[i], self._instrumented,
-                        self.profile, self.lint, self.sample_interval_s,
+                        _pool_job, jobs[i], trace_ids[i], self.tracer.enabled,
+                        self.metrics is not None, self.profile, self.lint,
+                        self.sample_interval_s,
                     )
             failed: List[Tuple[int, str, bool]] = []
             recycle = False

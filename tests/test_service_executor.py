@@ -194,3 +194,60 @@ class TestSerialPoolParity:
                 (e.args["app"], e.args["trace_id"]) for e in spans
             ) == sorted(zip(self.APPS, self.TRACE_IDS))
             assert all((e.pid == os.getpid()) == in_process for e in spans)
+
+
+class TestUntracedMetrics:
+    """A service counts worker jobs whether or not it traces.
+
+    ``worker_jobs``/``worker_job_seconds`` are metrics, not spans: an
+    untraced service must count them in serial and pool mode alike,
+    and an untraced pool worker must still record no spans.
+    """
+
+    APPS = ("klt", "canny")
+
+    def _count(self, jobs):
+        from repro.service import DesignService
+
+        with DesignService(jobs=jobs) as service:
+            assert not service.tracer.enabled
+            service.submit_many([_job(app) for app in self.APPS])
+            mode = service.execution_mode
+            counts = {
+                app: (
+                    service.metrics.counter(
+                        "worker_jobs", labels={"app": app}
+                    ),
+                    service.metrics.timer_stats(
+                        "worker_job_seconds", labels={"app": app}
+                    )["count"],
+                )
+                for app in self.APPS
+            }
+        return mode, counts
+
+    def test_serial_service_counts_worker_jobs(self):
+        mode, counts = self._count(1)
+        assert mode == "serial"
+        assert counts == {app: (1, 1) for app in self.APPS}
+
+    def test_pool_service_counts_worker_jobs(self):
+        mode, counts = self._count(2)
+        if mode != "parallel":
+            pytest.skip("platform cannot fork a worker pool")
+        assert counts == {app: (1, 1) for app in self.APPS}
+
+    def test_untraced_pool_worker_ships_metrics_but_no_spans(self):
+        from repro.service.executor import _pool_job
+
+        result, spans, metrics = _pool_job(
+            _job("klt"), "", False, True, False, False, None
+        )
+        assert result.summary and result.result is None
+        assert spans == []
+        assert metrics is not None and "worker_jobs" in repr(metrics)
+        _, spans, metrics = _pool_job(
+            _job("klt"), "", True, False, False, False, None
+        )
+        assert [s["name"] for s in spans].count("job") == 1
+        assert metrics is None
