@@ -70,6 +70,31 @@ class TestBus:
         eng.run()
         assert ends["small"] < ends["big"]
 
+    def test_transfer_torn_down_mid_hold_releases_the_bus(self):
+        """Closing a holder's process mid-burst frees the bus for the
+        waiter; the torn-down burst moves no bytes."""
+        eng = Engine()
+        bus = PlbBus(eng)
+        hold = bus.cycles(bus.transfer_cycles(1024))
+        ends = {}
+
+        def holder():
+            yield from bus.transfer(4096, requester="a")
+
+        def waiter():
+            yield 1e-9  # queue behind a's first burst
+            yield from bus.transfer(1024, requester="b")
+            ends["b"] = eng.now
+
+        torn = eng.process(holder())
+        eng.process(waiter())
+        eng.run(until=hold / 2)
+        torn._gen.close()
+        eng.run()
+        assert ends["b"] == pytest.approx(hold / 2 + hold)
+        assert (bus.transactions, bus.bytes_moved) == (1, 1024)
+        assert bus._resource._in_use == 0
+
     def test_theta_amortizes_overhead(self):
         eng = Engine()
         bus = PlbBus(eng, width_bytes=8, typical_burst_bytes=1024)
