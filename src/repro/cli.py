@@ -48,7 +48,7 @@ Benchmarks live outside the CLI: ``benchmarks/e2e/run.py`` measures
 designs and served requests end to end with per-layer times from the
 spans ``run_experiment`` emits (``benchmarks/e2e/compare.py`` gates a
 change against its parent), and ``tools/overhead_gates.py`` bounds what
-the profile recorder and the stack sampler add to a simulation.
+the profile recorder adds to a simulation.
 """
 
 from __future__ import annotations

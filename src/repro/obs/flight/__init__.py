@@ -1,11 +1,9 @@
-"""Self-observability: flight recorder, stack sampler, stall watchdog.
+"""Self-observability: flight recorder, stall watchdog, post-mortems.
 
 The pieces (DESIGN.md §15):
 
 * :class:`FlightRecorder` / :class:`RingTracer` — always-on bounded
   rings of recent spans, runtime events, and metrics snapshots;
-* :class:`StackSampler` — thread-based wall-clock profiler with
-  collapsed-stack export;
 * :class:`StallWatchdog` / :class:`Heartbeat` — stall detection over
   heartbeats and probes, edge-triggered trip/clear events;
 * :func:`build_flight_report` / :func:`write_flight_dump` /
@@ -18,12 +16,12 @@ from .recorder import FlightRecorder, RingTracer
 from .report import (
     FLIGHT_KIND,
     build_flight_report,
+    frame_label,
     load_flight_report,
     render_flight_report,
     thread_stacks,
     write_flight_dump,
 )
-from .sampler import StackSampler, frame_label
 from .watchdog import Heartbeat, StallWatchdog
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "FlightRecorder",
     "Heartbeat",
     "RingTracer",
-    "StackSampler",
     "StallWatchdog",
     "build_flight_report",
     "frame_label",

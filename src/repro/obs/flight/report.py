@@ -26,11 +26,19 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ...io import FORMAT_VERSION, load_json, save_json, validate_document
 from .recorder import FlightRecorder
-from .sampler import frame_label
 from .watchdog import StallWatchdog
 
 #: Document kind of a post-mortem dump.
 FLIGHT_KIND = "flight-report"
+
+
+def frame_label(filename: str, func: str, lineno: int = 0) -> str:
+    """Compact, needle-friendly label: ``func (pkg/file.py[:line])``."""
+    parts = filename.replace("\\", "/").rsplit("/", 2)
+    short = "/".join(parts[-2:])
+    if lineno > 0:
+        return f"{func} ({short}:{lineno})"
+    return f"{func} ({short})"
 
 
 def thread_stacks(max_depth: int = 64) -> List[Dict[str, Any]]:

@@ -53,7 +53,6 @@ class DesignService:
         profile_dir: Optional[Union[str, pathlib.Path]] = None,
         lint_dir: Optional[Union[str, pathlib.Path]] = None,
         events: EventLog = NULL_LOG,
-        sample_interval_s: Optional[float] = None,
     ) -> None:
         if executor_config is None:
             executor_config = ExecutorConfig(jobs=jobs)
@@ -85,7 +84,6 @@ class DesignService:
             profile=self.profile_dir is not None,
             lint=self.lint_dir is not None,
             events=self.events,
-            sample_interval_s=sample_interval_s,
         )
         # Cross-thread duplicate suppression: fingerprint -> Future of
         # the summary being computed by some other thread right now.

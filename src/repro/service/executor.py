@@ -1,12 +1,12 @@
 """Parallel job execution with timeout, retry, and serial fallback.
 
 :func:`run_job` is the one job body: it runs the profile→design→simulate
-pipeline for a :class:`DesignJob` under a root ``job`` span, samples its
-stack when asked, counts it in a metrics registry, and returns a
-:class:`JobResult`. Serial execution calls it in-process with the
-runner's shared tracer and registry; pool workers call it through
-:func:`_pool_job`, which ships the result and the worker's spans and
-metrics home for :class:`JobRunner` to merge.
+pipeline for a :class:`DesignJob` under a root ``job`` span, counts it
+in a metrics registry, and returns a :class:`JobResult`. Serial
+execution calls it in-process with the runner's shared tracer and
+registry; pool workers call it through :func:`_pool_job`, which ships
+the result and the worker's spans and metrics home for
+:class:`JobRunner` to merge.
 
 The pipeline is CPU-bound pure Python, so process-level parallelism is
 the only kind that helps; :class:`JobRunner` drives a
@@ -33,7 +33,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import JobExecutionError, JobTimeoutError, ServiceError
+from ..errors import (
+    ConfigurationError,
+    JobExecutionError,
+    JobTimeoutError,
+    ServiceError,
+)
 from ..flow import ExperimentResult, result_summary, run_experiment
 from ..obs.profile.report import profile_to_dict
 from ..obs.runtime.events import NULL_LOG, EventLog
@@ -63,9 +68,6 @@ class JobResult:
     #: Serialized static-analysis report; populated only for freshly
     #: computed jobs of a linting service (``lint_dir`` set).
     lint: Optional[Dict[str, Any]] = None
-    #: Collapsed-stack wall-clock samples; populated only for freshly
-    #: computed jobs of a sampling service (``sample_interval_s`` set).
-    samples: Optional[str] = None
 
 
 def run_job(
@@ -75,7 +77,6 @@ def run_job(
     profile: bool = False,
     lint: bool = False,
     trace_id: str = "",
-    sample_interval_s: Optional[float] = None,
 ) -> JobResult:
     """Run one job in this process and return its full result.
 
@@ -86,41 +87,22 @@ def run_job(
     ``profile`` the result carries each system's simulation profile as
     its JSON-safe dict form, and with ``lint`` the serialized static
     analysis report.
-
-    ``sample_interval_s`` attaches a wall-clock stack sampler
-    (:class:`repro.obs.flight.StackSampler` — thread-based, so it works
-    in pool workers where signal-based profilers cannot) to this thread
-    for the duration of the run; the collapsed-stack text rides in
-    :attr:`JobResult.samples`, ready for flamegraph tooling.
     """
-    sampler = None
-    if sample_interval_s is not None:
-        from ..obs.flight.sampler import StackSampler
-
-        sampler = StackSampler(
-            interval_s=sample_interval_s,
-            threads=[threading.get_ident()],
-        )
-        sampler.start()
     start = time.perf_counter()
-    try:
-        with tracer.span("job", category="worker", app=job.app,
-                         trace_id=trace_id):
-            result = run_experiment(
-                job.app,
-                scale=job.scale,
-                seed=job.seed,
-                params=job.params,
-                simulate=job.simulate,
-                design_overrides=job.design_overrides or None,
-                trace=tracer,
-                profile=profile,
-                lint=lint,
-                graph_source=job.graph_source,
-            )
-    finally:
-        if sampler is not None:
-            sampler.stop()
+    with tracer.span("job", category="worker", app=job.app,
+                     trace_id=trace_id):
+        result = run_experiment(
+            job.app,
+            scale=job.scale,
+            seed=job.seed,
+            params=job.params,
+            simulate=job.simulate,
+            design_overrides=job.design_overrides or None,
+            trace=tracer,
+            profile=profile,
+            lint=lint,
+            graph_source=job.graph_source,
+        )
     duration_s = time.perf_counter() - start
     if metrics is not None:
         metrics.observe("worker_job_seconds", duration_s,
@@ -137,13 +119,12 @@ def run_job(
             for system, p in result.profiles.items()
         },
         lint=None if result.lint is None else result.lint.to_dict(),
-        samples=None if sampler is None else sampler.collapsed(),
     )
 
 
 def _pool_job(
     job: DesignJob, trace_id: str, traced: bool, metered: bool,
-    profile: bool, lint: bool, sample_interval_s: Optional[float],
+    profile: bool, lint: bool,
 ) -> Tuple[JobResult, List[Dict[str, Any]], Optional[Dict[str, Any]]]:
     """Pool entry point: :func:`run_job` with picklable observability.
 
@@ -158,8 +139,7 @@ def _pool_job(
     """
     tracer = Tracer() if traced else NULL_TRACER
     metrics = MetricsRegistry() if metered else None
-    result = run_job(job, tracer, metrics, profile, lint, trace_id,
-                     sample_interval_s)
+    result = run_job(job, tracer, metrics, profile, lint, trace_id)
     return (
         replace(result, result=None),
         tracer.as_dicts(),
@@ -193,6 +173,28 @@ class ExecutorConfig:
     backoff_s: float = 0.05
     backoff_factor: float = 2.0
 
+    def __post_init__(self) -> None:
+        # A negative retry budget never runs the job at all, and a
+        # non-positive timeout fails every pool attempt at once.
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.retries < 0:
+            raise ConfigurationError(
+                f"retries must be >= 0, got {self.retries}"
+            )
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ConfigurationError(
+                f"timeout_s must be > 0 or None, got {self.timeout_s}"
+            )
+        if not self.backoff_s >= 0:
+            raise ConfigurationError(
+                f"backoff_s must be >= 0, got {self.backoff_s}"
+            )
+        if not self.backoff_factor >= 1:
+            raise ConfigurationError(
+                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+            )
+
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based)."""
         return self.backoff_s * (self.backoff_factor ** (attempt - 1))
@@ -206,7 +208,7 @@ class JobRunner:
     jobs in a worker through :func:`_pool_job`, whose spans and metrics
     the runner merges on arrival. Injected custom ``runner`` callables
     replace :func:`run_job` and are never wrapped — they take a job and
-    return its summary, and carry no profiles, lint, samples or spans.
+    return its summary, and carry no profiles, lint or spans.
     """
 
     def __init__(
@@ -218,16 +220,11 @@ class JobRunner:
         profile: bool = False,
         lint: bool = False,
         events: EventLog = NULL_LOG,
-        sample_interval_s: Optional[float] = None,
     ) -> None:
         self.config = config
         self._runner = runner
         self.tracer = active(tracer)
         self.metrics = metrics
-        #: Wall-clock stack-sampling interval for executed jobs
-        #: (``None`` = no sampling). Ignored for injected custom
-        #: runners, like ``profile``/``lint``.
-        self.sample_interval_s = sample_interval_s
         #: Runtime event log; pool recycles are worth an operator's
         #: attention (each one means a hung or crashed worker).
         self.events = events
@@ -332,7 +329,7 @@ class JobRunner:
                 else:
                     outcome = run_job(
                         job, self.tracer, self.metrics, self.profile,
-                        self.lint, trace_id, self.sample_interval_s,
+                        self.lint, trace_id,
                     )
                 return replace(outcome, attempts=attempt,
                                duration_s=time.perf_counter() - start)
@@ -368,7 +365,6 @@ class JobRunner:
                     futures[i] = pool.submit(
                         _pool_job, jobs[i], trace_ids[i], self.tracer.enabled,
                         self.metrics is not None, self.profile, self.lint,
-                        self.sample_interval_s,
                     )
             failed: List[Tuple[int, str, bool]] = []
             recycle = False

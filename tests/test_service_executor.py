@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.errors import JobExecutionError, JobTimeoutError
+from repro.errors import ConfigurationError, JobExecutionError, JobTimeoutError
 from repro.service import DesignJob, ExecutorConfig, JobRunner
 
 FAST = ExecutorConfig(retries=2, backoff_s=0.0)
@@ -20,6 +20,29 @@ def _job(app="klt"):
 def _sleepy_runner(job):  # module-level: picklable, so the pool is used
     time.sleep(5.0)
     return {"solution": "SM"}
+
+
+class TestExecutorConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"jobs": 0},
+        {"jobs": -2},
+        {"retries": -1},
+        {"timeout_s": 0.0},
+        {"timeout_s": -1.0},
+        {"timeout_s": float("nan")},
+        {"backoff_s": -0.01},
+        {"backoff_s": float("nan")},
+        {"backoff_factor": 0.5},
+        {"backoff_factor": float("nan")},
+    ])
+    def test_rejects_values_that_break_the_runner(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ExecutorConfig(**kwargs)
+
+    def test_edges_stay_valid(self):
+        ExecutorConfig(jobs=1, retries=0, timeout_s=None, backoff_s=0.0,
+                       backoff_factor=1.0)
+        ExecutorConfig(jobs=2, timeout_s=0.2, retries=0)
 
 
 class TestSerialRetry:
@@ -131,10 +154,9 @@ class TestSerialPoolParity:
     """Serial and pool execution run the same job body.
 
     One fully instrumented service per mode (tracer, profile and lint
-    artifacts, stack sampling, trace ids) over the same two jobs: the
-    summaries and on-disk artifacts must agree byte for byte, and each
-    mode must ship samples, one traced ``job`` span and one
-    ``worker_jobs`` count per fresh job.
+    artifacts, trace ids) over the same two jobs: the summaries and
+    on-disk artifacts must agree byte for byte, and each mode must ship
+    one traced ``job`` span and one ``worker_jobs`` count per fresh job.
     """
 
     APPS = ("klt", "canny")
@@ -149,7 +171,6 @@ class TestSerialPoolParity:
         with DesignService(
             jobs=jobs, tracer=tracer,
             profile_dir=root / "profiles", lint_dir=root / "lints",
-            sample_interval_s=0.001,
         ) as service:
             results = service.submit_many(
                 [DesignJob(app) for app in self.APPS],
@@ -184,7 +205,6 @@ class TestSerialPoolParity:
             serial_files = self._files(tmp_path / "serial" / kind)
             assert len(serial_files) == len(self.APPS)
             assert serial_files == self._files(tmp_path / "pool" / kind)
-        assert all(r.samples for r in serial + pool)
         assert serial_count == pool_count == len(self.APPS)
 
         for tracer, in_process in ((serial_tracer, True),
@@ -241,13 +261,13 @@ class TestUntracedMetrics:
         from repro.service.executor import _pool_job
 
         result, spans, metrics = _pool_job(
-            _job("klt"), "", False, True, False, False, None
+            _job("klt"), "", False, True, False, False
         )
         assert result.summary and result.result is None
         assert spans == []
         assert metrics is not None and "worker_jobs" in repr(metrics)
         _, spans, metrics = _pool_job(
-            _job("klt"), "", True, False, False, False, None
+            _job("klt"), "", True, False, False, False
         )
         assert [s["name"] for s in spans].count("job") == 1
         assert metrics is None

@@ -1,29 +1,21 @@
 #!/usr/bin/env python
-"""CI gates on what the two always-attachable profilers cost.
+"""CI gate on what the profile recorder costs a live simulation.
 
 The end-to-end benchmark (``benchmarks/e2e/``) measures designs and
-served requests with profiling off, so it cannot see a profiler that
-got slower. This script measures the two that callers attach to a live
-simulation:
+served requests with profiling off, so it cannot see a recorder that
+got slower. This script times ``simulate_proposed`` with a fresh
+:class:`~repro.obs.profile.recorder.TimeseriesRecorder` against the
+same simulation without one, on jpeg (the paper's running example and
+the heaviest communicator), and fails above :data:`RECORDER_MAX`.
 
-* **recorder** — ``simulate_proposed`` with a fresh
-  :class:`~repro.obs.profile.recorder.TimeseriesRecorder` against the
-  same simulation without one, on jpeg (the paper's running example and
-  the heaviest communicator). Fails above :data:`RECORDER_MAX`.
-* **sampler** — ``simulate_proposed`` under a
-  :class:`~repro.obs.flight.StackSampler` at
-  :data:`SAMPLER_INTERVAL_S` against the same simulation without one,
-  on the worst of the four applications. Fails above
-  :data:`SAMPLER_MAX`.
-
-Both use one measurement, :func:`paired_ratio`. A single simulation
-runs in well under a millisecond, where scheduler jitter dwarfs the
-profiler's true cost, so both sides time the *same* batch of passes,
-sized so each timed window is at least :data:`MIN_WINDOW_S`. Each round
-pairs a plain window with an adjacent instrumented one and the gate
-takes the minimum of the per-round ratios: a load burst on a shared
-runner pollutes one round, while a real profiler cost floors *every*
-round's ratio and so cannot be selected away.
+The measurement is :func:`paired_ratio`. A single simulation runs in
+well under a millisecond, where scheduler jitter dwarfs the recorder's
+true cost, so both sides time the *same* batch of passes, sized so each
+timed window is at least :data:`MIN_WINDOW_S`. Each round pairs a plain
+window with an adjacent instrumented one and the gate takes the minimum
+of the per-round ratios: a load burst on a shared runner pollutes one
+round, while a real recorder cost floors *every* round's ratio and so
+cannot be selected away.
 
 Usage (exit 1 with a ``FAIL:`` line naming the gate, the application
 and the ratio)::
@@ -35,15 +27,12 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 import time
 from functools import partial
 from typing import Any, Callable, Dict
 
 from repro.apps import fit_application, get_application
-from repro.apps.registry import APP_NAMES
 from repro.core.designer import DesignConfig, design_interconnect
-from repro.obs.flight import StackSampler
 from repro.obs.profile.recorder import TimeseriesRecorder
 from repro.sim.systems import SystemParams, simulate_proposed
 
@@ -51,10 +40,6 @@ from repro.sim.systems import SystemParams, simulate_proposed
 RECORDER_MAX = 2.0
 #: Application the recorder gate runs on.
 RECORDER_APP = "jpeg"
-#: Largest allowed sampled / unsampled wall-time ratio, on any app.
-SAMPLER_MAX = 1.05
-#: Stack-sampling interval the sampler gate attaches.
-SAMPLER_INTERVAL_S = 0.005
 #: Paired rounds per measurement; the ratio is their minimum.
 ROUNDS = 5
 #: Shortest timed window per side of one round.
@@ -73,21 +58,6 @@ def batch(fn: Callable[[], Any]) -> Side:
         for _ in range(passes):
             fn()
         return time.perf_counter() - start
-
-    return side
-
-
-def sampled(fn: Callable[[], Any]) -> Side:
-    """``fn`` batched under a stack sampler on this thread; a fresh
-    sampler per window keeps each window's aggregation cost equal."""
-    inner = batch(fn)
-
-    def side(passes: int) -> float:
-        sampler = StackSampler(
-            interval_s=SAMPLER_INTERVAL_S, threads=[threading.get_ident()]
-        )
-        with sampler:
-            return inner(passes)
 
     return side
 
@@ -130,11 +100,6 @@ def recorder_ratio(name: str) -> float:
     )
 
 
-def sampler_ratio(name: str) -> float:
-    run = proposed(name)
-    return paired_ratio(batch(run), sampled(run))
-
-
 def check(gate: str, bound: float, ratios: Dict[str, float]) -> bool:
     """Print the worst ratio against ``bound``; ``False`` if above it."""
     name = max(ratios, key=lambda app: ratios[app])
@@ -154,9 +119,6 @@ def main() -> int:
     ok = check(
         "recorder", RECORDER_MAX, {RECORDER_APP: recorder_ratio(RECORDER_APP)}
     )
-    ok = check(
-        "sampler", SAMPLER_MAX, {name: sampler_ratio(name) for name in APP_NAMES}
-    ) and ok
     return 0 if ok else 1
 
 
