@@ -21,8 +21,9 @@ and proposed systems:
 * the :func:`~repro.sim.timeline.timeline_digest` of the run.
 
 The cases are the four paper applications (as calibrated by the test
-suite's ``fitted_apps`` fixture) and the pinned fuzz corpus
-``generate_case(FuzzSpec(), CORPUS_SEED, i)`` for ``i < CORPUS_SIZE``.
+suite's ``fitted_apps`` fixture) and the pinned corpus: the fuzz cases
+``generate_case(FuzzSpec(), CORPUS_SEED, i)`` for ``i <
+CORPUS_GENERATED``, then the hand-built :func:`contended_dma_case`.
 The corpus matters: fusion bugs that only show under contention leave
 the four paper apps untouched.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,7 +44,9 @@ from ..apps import fit_application, get_application
 from ..apps.registry import APP_NAMES
 from ..core.commgraph import CommGraph
 from ..core.designer import DesignConfig, design_interconnect
+from ..core.kernel import KernelSpec
 from ..core.plan import InterconnectPlan
+from ..hw.resources import ResourceCost
 from ..obs.profile.recorder import TimeseriesRecorder
 from ..sim.systems import (
     SimulatedTimes,
@@ -57,12 +60,15 @@ from .generate import FuzzSpec, GeneratedCase, generate_case
 from .oracle import Violation
 
 __all__ = [
+    "CORPUS_GENERATED",
     "CORPUS_SEED",
     "CORPUS_SIZE",
     "GOLDEN_VERSION",
+    "PinnedCase",
     "SYSTEMS",
     "build_goldens",
     "conformance_sweep",
+    "contended_dma_case",
     "corpus_cases",
     "diff_fingerprint",
     "fingerprint_case",
@@ -80,7 +86,9 @@ GOLDEN_VERSION = 1
 #: The pinned fuzz corpus: same seed, same indices, forever. A failure
 #: reproduces from ``generate_case(FuzzSpec(), CORPUS_SEED, index)``.
 CORPUS_SEED = 2026
-CORPUS_SIZE = 50
+CORPUS_GENERATED = 50
+#: The generated cases plus the hand-built :func:`contended_dma_case`.
+CORPUS_SIZE = CORPUS_GENERATED + 1
 
 #: The systems a conformance pass exercises per case.
 SYSTEMS: Tuple[str, ...] = ("baseline", "pipelined", "proposed")
@@ -196,11 +204,58 @@ def golden_conformance_check(
     return violations
 
 
+@dataclass(frozen=True)
+class PinnedCase(GeneratedCase):
+    """A hand-built corpus case, labelled by name instead of seed:index."""
+
+    name: str = ""
+
+    def label(self) -> str:
+        return f"pinned[{self.name}]"
+
+
+def contended_dma_case() -> PinnedCase:
+    """Two long, burst-aligned host fetches contending for the bus.
+
+    Generated transfers rarely contend for several bursts and almost
+    never end on a whole burst, so the fuzz cases never see the bus
+    hand-off lane reach a waiter's full-size last burst. Here two
+    independent kernels fetch 16 KiB and 12 KiB at the same instant in
+    the proposed system, in 1 KiB bursts, and alternate on the bus
+    until both end on a whole burst; their write-backs do the same.
+    """
+    kernels = {
+        name: KernelSpec(
+            name=name,
+            tau_cycles=tau,
+            sw_cycles=20 * tau,
+            resources=ResourceCost(1000, 1000),
+        )
+        for name, tau in (("k0", 20_000), ("k1", 30_000))
+    }
+    graph = CommGraph(
+        kernels=kernels,
+        kk_edges={},
+        host_in={"k0": 16 * 1024, "k1": 12 * 1024},
+        host_out={"k0": 12 * 1024, "k1": 16 * 1024},
+    )
+    return PinnedCase(
+        seed=CORPUS_SEED,
+        index=CORPUS_GENERATED,
+        graph=graph,
+        params=SystemParams(),
+        stream_overhead_s=0.0,
+        name="contended-dma",
+    )
+
+
 def corpus_cases() -> List[GeneratedCase]:
-    """The pinned fuzz corpus the goldens cover."""
-    return [
-        generate_case(FuzzSpec(), CORPUS_SEED, i) for i in range(CORPUS_SIZE)
+    """The pinned corpus the goldens cover (:data:`CORPUS_SIZE` cases)."""
+    generated = [
+        generate_case(FuzzSpec(), CORPUS_SEED, i)
+        for i in range(CORPUS_GENERATED)
     ]
+    return generated + [contended_dma_case()]
 
 
 def conformance_sweep(

@@ -7,7 +7,8 @@ faster bus lane could miscount while every makespan still matches: a
 hand-off that forgets a contention or a burst, or a waiter queued
 outside the arbiter. The cases are ``simulate_proposed`` on the four
 paper applications at scales 1 and 2, on both graph sources, at seed
-2014, and on the pinned 50-case fuzz corpus. Each case runs with no
+2014, and on the pinned conformance corpus (50 generated cases and
+one hand-built case of contending DMA transfers). Each case runs with no
 recorder (the way ``run_experiment`` simulates) and with a
 ``TimeseriesRecorder`` attached, against the same entry.
 
@@ -141,3 +142,6 @@ def test_goldens_see_bus_contention(goldens):
     assert sum(
         entry["bus_contentions"] > 0 for entry in goldens["corpus"].values()
     ) >= 5
+    # The hand-built corpus case alternates two fetches and two
+    # write-backs burst by burst.
+    assert goldens["corpus"]["pinned[contended-dma]"]["bus_contentions"] > 20
