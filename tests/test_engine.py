@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -306,6 +307,86 @@ class TestWrrResource:
     def test_invalid_weight(self):
         with pytest.raises(SimulationError):
             WrrResource(Engine(), default_weight=0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_grant_order_matches_the_list_rebuilding_scheduler(self, seed):
+        # Random request/release runs over 1-6 keys (``None`` among
+        # them) with mixed weights: every grant and every queue depth
+        # must match the scheduler that lists the keys with waiters on
+        # each release, including its restart at the first key when the
+        # current key has run dry.
+        rng = random.Random(seed)
+        keys = rng.sample([None, "a", "b", 3, ("c", 1), "d", "e"],
+                          rng.randint(1, 6))
+        weights = {k: rng.randint(1, 4) for k in keys if rng.random() < 0.7}
+        default = rng.randint(1, 3)
+        pair = (
+            WrrResource(Engine(), weights=weights, default_weight=default),
+            _ListRebuildingWrr(Engine(), weights=weights,
+                               default_weight=default),
+        )
+        waiting = ([], [])
+        grants = ([], [])
+
+        def step(op):
+            # Each request or release grants at most one request.
+            for res, pending, granted in zip(pair, waiting, grants):
+                pending.extend(op(res))
+                granted.extend(tag for tag, ev in pending if ev.triggered)
+                pending[:] = [(t, ev) for t, ev in pending if not ev.triggered]
+            assert pair[0].queued() == pair[1].queued()
+            assert pair[0].peak_waiters == pair[1].peak_waiters
+
+        def release(res):
+            res.release()
+            return []
+
+        for n in range(rng.randint(1, 120)):
+            if rng.random() < 0.55 or not pair[0]._in_use:
+                key = rng.choice(keys)
+                step(lambda res, tag=(n, key): [(tag, res.request(tag[1]))])
+            else:
+                step(release)
+        while pair[0]._in_use:
+            step(release)
+        assert grants[0] == grants[1]
+        assert waiting == ([], [])
+        assert pair[0].queued() == 0
+
+
+class _ListRebuildingWrr(WrrResource):
+    """The WRR scheduler as first written: O(keys) per call."""
+
+    def queued(self):
+        return sum(len(q) for q in self._queues.values())
+
+    def _enqueue(self, ev, key):
+        if key not in self._queues:
+            self._queues[key] = []
+            self._rr_order.append(key)
+        self._queues[key].append(ev)
+
+    def _dequeue(self):
+        live = [k for k in self._rr_order if self._queues.get(k)]
+        if not live:
+            return None
+        key = self._current_key
+        if (
+            key is not None
+            and self._queues.get(key)
+            and self._served_in_turn < self._weight_of(key)
+        ):
+            pass  # continue this key's turn
+        else:
+            if key in live:
+                start = (live.index(key) + 1) % len(live)
+            else:
+                start = 0
+            key = live[start]
+            self._current_key = key
+            self._served_in_turn = 0
+        self._served_in_turn += 1
+        return self._queues[key].pop(0)
 
 
 class TestNoCyclicGarbage:
