@@ -167,14 +167,17 @@ class PlbBus(Component):
         (busy time, occupancy sample), grant the FIFO head (grant
         counter, ``bus_wait`` span, occupancy sample), queue the holder
         at the tail (contention, peak waiters). While the head's next
-        burst is not its last and :meth:`Engine.can_advance` allows its
-        hold, that burst runs here, inline, with the queued path's float
-        operations in order (``now = started + hold``, ``busy_time +=
-        now - busy_since``), its log line and ``bus`` activity, and the
-        head becomes the holder of the next hand-off. The head that
-        cannot be fused is granted through ``Event.succeed`` and resumes
-        from its own queue entry. Counters are summed locally and written
-        once. Returns the holder's own request, to be yielded.
+        burst is not its last and lands before the
+        :meth:`Engine.fusion_bound` read on entry (nothing is scheduled
+        while the lane runs), that burst runs here, inline, with the
+        queued path's float operations in order (``now = started +
+        hold``, ``busy_time += now - busy_since``), its log line and
+        ``bus`` activity, and the head becomes the holder of the next
+        hand-off. The head that cannot be fused is granted through
+        ``Event.succeed`` and resumes from its own queue entry. ``now``
+        is kept locally and written back to the engine before a log
+        line and once at the end; counters are summed locally and
+        written once. Returns the holder's own request, to be yielded.
         """
         engine = self.engine
         res = self._resource
@@ -183,6 +186,7 @@ class PlbBus(Component):
         rec = self.recorder
         tracing = self.tracing
         full = self.typical_burst_bytes
+        bound = engine.fusion_bound()
         now = engine.now
         since = res._busy_since
         busy = res.busy_time
@@ -206,17 +210,21 @@ class PlbBus(Component):
             if len(waiters) > peak:
                 peak = len(waiters)
             left = head.remaining
-            if left <= full or not engine.can_advance(full_hold):
+            if left <= full:
+                break
+            end = now + full_hold
+            if not end < bound:
                 break
             if tracing:
+                engine.now = now
                 self.log(f"xfer {full}B from {head.requester}")
-            started = now
-            now = engine.now = started + full_hold
             if rec.enabled:
-                rec.activity("bus", self.name, started, now, head.requester)
+                rec.activity("bus", self.name, now, end, head.requester)
+            now = end
             head.remaining = left - full
             bursts += 1
             holder = head
+        engine.now = now
         res.busy_time = busy
         res._busy_since = since
         res.grants += handoffs
@@ -231,16 +239,19 @@ class PlbBus(Component):
     def _burst_run(self, remaining: int, full_hold: float, requester: str) -> int:
         """Fuse back-to-back bursts while the free bus stays uncontended.
 
-        Each burst asks :meth:`Engine.can_advance` whether a queued event
-        lands within its hold; while none does, its grant→hold→release
-        round trip runs as straight-line code. Per burst this performs
-        the queued path's float operations in its order — ``now =
-        started + hold`` as ``advance`` adds, ``busy_time += now -
-        started`` as ``release`` adds — and, when profiling or tracing,
-        emits the same occupancy samples, bus activity and log line. The
-        integer counters are summed locally and written once. Returns
-        the bytes still to move; the first burst that cannot fuse is
-        left to the queued path.
+        The run reads :meth:`Engine.fusion_bound` once: nothing can be
+        scheduled while it is in progress, so the bound holds for every
+        burst. While a burst lands before it, the burst's grant→hold→
+        release round trip runs as straight-line code on a local
+        ``now``. Per burst this performs the queued path's float
+        operations in its order — ``now = started + hold`` as
+        ``advance`` adds, ``busy_time += now - started`` as ``release``
+        adds — and, when profiling or tracing, emits the same occupancy
+        samples, bus activity and log line (writing ``now`` back to the
+        engine for the log line). ``now`` is written back once at the
+        end, and the integer counters are summed locally and written
+        once. Returns the bytes still to move; the first burst that
+        cannot fuse is left to the queued path.
         """
         engine = self.engine
         res = self._resource
@@ -248,6 +259,8 @@ class PlbBus(Component):
         occ = res.recorder
         rec = self.recorder
         observed = occ is not None or rec.enabled or self.tracing
+        bound = engine.fusion_bound()
+        now = engine.now
         busy = res.busy_time
         bursts = moved = 0
         while remaining > 0:
@@ -256,24 +269,25 @@ class PlbBus(Component):
             else:
                 burst = remaining
                 hold = self.cycles(self.transfer_cycles(burst))
-            if not engine.can_advance(hold):
+            end = now + hold
+            if not end < bound:
                 break
-            started = engine.now
             if observed:
                 # The bus arbiter has capacity 1: held → 1, free → 0.
                 if occ is not None:
-                    occ.occupancy(res.profile_lane, started, 1, res.queued())
+                    occ.occupancy(res.profile_lane, now, 1, res.queued())
+                engine.now = now
                 self.log(f"xfer {burst}B from {requester}")
-            now = engine.now = started + hold
-            busy += now - started
-            if observed:
                 if rec.enabled:
-                    rec.activity("bus", self.name, started, now, requester)
+                    rec.activity("bus", self.name, now, end, requester)
                 if occ is not None:
-                    occ.occupancy(res.profile_lane, now, 0, res.queued())
+                    occ.occupancy(res.profile_lane, end, 0, res.queued())
+            busy += end - now
+            now = end
             bursts += 1
             moved += burst
             remaining -= burst
+        engine.now = now
         res.busy_time = busy
         res.grants += bursts
         engine.fused_events += bursts
