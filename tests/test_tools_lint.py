@@ -228,6 +228,7 @@ def test_r6_static_package_is_clean_on_disk():
         "n = next(engine._seq)\n",
         "engine._batch_remaining = 0\n",
         "if eng._batch_remaining:\n    pass\n",
+        "horizon = engine._until\n",
     ],
 )
 def test_r7_flags_engine_private_access(source):
@@ -243,6 +244,7 @@ def test_r7_flags_engine_private_access(source):
         "engine.schedule(0.0, f)\n",
         "engine.call_soon(f)\n",
         "ok = engine.can_advance(hold)\n",
+        "bound = engine.fusion_bound()\n",
         "n = self._queued\n",
         "self.queue = []\n",
         "self._seq_no = 1\n",
@@ -263,6 +265,20 @@ def test_r7_scope_is_sim_outside_the_engine():
         src / "obs" / "runtime" / "events.py"
     )
     assert not lint_repro._in_engine_client_scope(src / "cli.py")
+
+
+def test_r7_flags_a_sim_module_reading_the_horizon():
+    # A component that rebuilds the horizon test itself instead of going
+    # through ``fusion_bound`` is reported in its own module.
+    path = lint_repro.SRC_ROOT / "sim" / "fastlane.py"
+    assert lint_repro._in_engine_client_scope(path)
+    source = (
+        "def fits(engine, end):\n"
+        "    return end <= engine._until\n"
+    )
+    found = list(lint_repro.check_engine_privacy(path, ast.parse(source)))
+    assert [(f.rule, f.line) for f in found] == [("R7", 2)]
+    assert "._until" in found[0].message
 
 
 def test_r7_sim_package_is_clean_on_disk():

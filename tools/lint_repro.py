@@ -38,12 +38,15 @@ statistically but the AST can prove outright:
   derives the communication graph *without executing anything*; an
   import of the simulator or the tracer would silently void that claim
   even if no kernel actually runs.
-* **R7 engine privacy** — no ``._queue``, ``._seq`` or
-  ``._batch_remaining`` attribute access inside ``repro.sim`` outside
-  ``sim/engine.py``. Those three fields decide the order in which
-  same-time work runs, and every exactness argument of event fusion
-  rests on the engine alone deciding it; components order their work
-  through ``schedule``, ``call_soon`` and the fusion calls. The rule is
+* **R7 engine privacy** — no ``._queue``, ``._seq``,
+  ``._batch_remaining`` or ``._until`` attribute access inside
+  ``repro.sim`` outside ``sim/engine.py``. The first three decide the
+  order in which same-time work runs, and with ``._until`` (the
+  ``run(until=...)`` horizon) they make up the fusion rule; every
+  exactness argument of event fusion rests on the engine alone
+  deciding it. Components order their work through ``schedule``,
+  ``call_soon`` and the fusion calls, and read the fusion limit only
+  through ``Engine.fusion_bound``. The rule is
   scoped to ``repro.sim`` because unrelated classes (the event log in
   ``repro.obs.runtime``) have a ``_seq`` of their own.
 * **R8 checker independence** — ``repro/analyze/rules_plan.py`` may not
@@ -93,8 +96,9 @@ IMPURE_IMPORTS = ("repro.sim", "repro.profiling")
 ENGINE_SCOPE = "sim"
 ENGINE_MODULE = ("sim", "engine.py")
 
-#: Engine attributes that decide same-time ordering (R7).
-ENGINE_PRIVATE = frozenset({"_queue", "_seq", "_batch_remaining"})
+#: Engine attributes that decide same-time ordering and the fusion
+#: bound (R7).
+ENGINE_PRIVATE = frozenset({"_queue", "_seq", "_batch_remaining", "_until"})
 
 #: The Algorithm 1 checker (R8), and the decision modules it re-derives
 #: instead of importing.
@@ -334,8 +338,8 @@ def check_engine_privacy(
             yield Finding(
                 "R7", path, node.lineno,
                 f"access to engine-private .{node.attr} — only "
-                "repro.sim.engine orders same-time work; use schedule, "
-                "call_soon or the fusion calls",
+                "repro.sim.engine orders same-time work and bounds "
+                "fusion; use schedule, call_soon or the fusion calls",
             )
 
 
