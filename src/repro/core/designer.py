@@ -16,14 +16,17 @@ and per-kernel timing), the designer:
 Every stage can be disabled through :class:`DesignConfig` — that is how
 the ablation benches and the paper's "NoC-only" comparison system are
 expressed (sharing and adaptive mapping off, everything on the NoC).
-:func:`price_interconnect` runs stages 1–3 only and returns what the
-synthesis estimate needs; the flow prices the NoC-only system with it.
+Both of those toggles act after duplication, so the NoC-only system
+duplicates exactly as the real design does: :func:`price_noc_only`
+prices it from the real plan's post-duplication graph by re-running
+only the mapping rule (:func:`map_kernel`), with no provenance and no
+placement. The flow prices the NoC-only system with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import DesignError
 from ..hw.device import Device, XC5VFX130T
@@ -44,7 +47,7 @@ from .plan import (
     bill_of_materials,
     memory_node,
 )
-from .sharing import SharedMemoryLink, residual_graph, sharing_decisions
+from .sharing import residual_graph, sharing_decisions
 from .topology import (
     KernelAttach,
     MemoryAttach,
@@ -88,29 +91,35 @@ class DesignConfig:
         shared memory off, adaptive mapping off (everything on the NoC)."""
         return replace(self, enable_sharing=False, enable_adaptive_mapping=False)
 
-    def bus_only(self) -> "DesignConfig":
-        """Pure baseline interconnect (used by ablations)."""
-        return replace(
-            self,
-            enable_duplication=False,
-            enable_sharing=False,
-            enable_noc=False,
-            enable_pipelining=False,
-        )
 
+def map_kernel(
+    name: str, residual: CommGraph, config: DesignConfig
+) -> Tuple[KernelMapping, str]:
+    """Line 14's mapping of one kernel, and the rule that chose it.
 
-class Decisions(NamedTuple):
-    """What Algorithm 1 decided before placement
-    (:meth:`InterconnectDesigner.decide`)."""
-
-    #: Post-duplication communication graph.
-    graph: CommGraph
-    duplications: Tuple[DuplicationDecision, ...]
-    sharing: Tuple[SharedMemoryLink, ...]
-    #: ``graph`` minus the shared-memory edges: what the NoC or bus
-    #: carries.
-    residual: CommGraph
-    mappings: Dict[str, KernelMapping]
+    ``residual`` is the post-duplication graph minus the shared-memory
+    edges. With the NoC off every kernel and memory stays on the bus;
+    with adaptive mapping off every kernel and every local memory gets
+    a router (the paper's NoC-only strawman); otherwise Table I decides.
+    """
+    receive = classify_receive(residual, name)
+    send = classify_send(residual, name)
+    if not config.enable_noc:
+        attach = (KernelAttach.K1, MemoryAttach.M1)
+        rule = "NoC disabled => everything on the bus"
+    elif config.enable_adaptive_mapping:
+        attach = adaptive_map(receive, send)
+        rule = explain_mapping(receive, send)
+    else:
+        attach = (KernelAttach.K2, MemoryAttach.M3)
+        rule = "adaptive mapping disabled => maximum attachment"
+    return KernelMapping(
+        kernel=name,
+        receive=receive,
+        send=send,
+        attach_kernel=attach[0],
+        attach_memory=attach[1],
+    ), rule
 
 
 class InterconnectDesigner:
@@ -159,34 +168,16 @@ class InterconnectDesigner:
     ) -> Dict[str, KernelMapping]:
         mappings: Dict[str, KernelMapping] = {}
         for name in graph.kernel_names():
-            receive = classify_receive(residual, name)
-            send = classify_send(residual, name)
-            if not self.config.enable_noc:
-                attach = (KernelAttach.K1, MemoryAttach.M1)
-                rule = "NoC disabled => everything on the bus"
-            elif self.config.enable_adaptive_mapping:
-                attach = adaptive_map(receive, send)
-                rule = explain_mapping(receive, send)
-            else:
-                # NoC-only: maximum attachment — every kernel and every
-                # local memory gets a router (the paper's strawman).
-                attach = (KernelAttach.K2, MemoryAttach.M3)
-                rule = "adaptive mapping disabled => maximum attachment"
-            mappings[name] = KernelMapping(
-                kernel=name,
-                receive=receive,
-                send=send,
-                attach_kernel=attach[0],
-                attach_memory=attach[1],
-            )
+            m, rule = map_kernel(name, residual, self.config)
+            mappings[name] = m
             self.log.record(
                 prov.STAGE_CLASSIFY,
                 name,
-                outcome=f"{attach[0].name},{attach[1].name}",
-                receive=receive.name,
-                send=send.name,
-                attach_kernel=attach[0].name,
-                attach_memory=attach[1].name,
+                outcome=f"{m.attach_kernel.name},{m.attach_memory.name}",
+                receive=m.receive.name,
+                send=m.send.name,
+                attach_kernel=m.attach_kernel.name,
+                attach_memory=m.attach_memory.name,
                 rule=rule,
             )
         return mappings
@@ -245,10 +236,9 @@ class InterconnectDesigner:
             edges=tuple(noc_edges),
         )
 
-    # -- entry points ---------------------------------------------------------
-    def decide(self) -> Decisions:
-        """Run Algorithm 1's decision stages: duplication, sharing and
-        mapping. Placement and pipelining are left to :meth:`design`."""
+    # -- entry point ----------------------------------------------------------
+    def design(self) -> InterconnectPlan:
+        """Run Algorithm 1 and return the plan (with full provenance)."""
         cfg = self.config
         self.log.record(
             prov.STAGE_CONFIG,
@@ -318,12 +308,7 @@ class InterconnectDesigner:
 
         with self.tracer.span("design.mapping", category="design", app=self.app):
             mappings = self._map_kernels(graph, residual)
-        return Decisions(graph, duplications, sharing, residual, mappings)
 
-    def design(self) -> InterconnectPlan:
-        """Run Algorithm 1 and return the plan (with full provenance)."""
-        cfg = self.config
-        graph, duplications, sharing, residual, mappings = self.decide()
         with self.tracer.span("design.placement", category="design", app=self.app):
             noc = self._build_noc(mappings, residual)
         if noc is None:
@@ -389,20 +374,23 @@ def design_interconnect(
     return InterconnectDesigner(app, graph, config, tracer=tracer).design()
 
 
-def price_interconnect(
-    app: str,
-    graph: CommGraph,
-    config: DesignConfig,
-    tracer: Tracer | None = None,
-) -> Tuple[CommGraph, Dict[ComponentKind, int]]:
-    """What synthesis needs of :func:`design_interconnect`, unplaced.
+def price_noc_only(
+    plan: InterconnectPlan, config: DesignConfig
+) -> Dict[ComponentKind, int]:
+    """Bill of materials of the paper's NoC-only comparison system.
 
-    Returns the post-duplication graph, whose kernels are priced, and
-    the bill of materials that the designed plan's
-    :meth:`~InterconnectPlan.component_counts` would give. Only the
-    decision stages run: mesh placement and pipelining change neither.
+    ``plan`` is the design Algorithm 1 made under ``config``.
+    :meth:`DesignConfig.noc_only` turns off only sharing and adaptive
+    mapping, which both act after duplication, so the NoC-only design
+    has ``plan.graph`` as its post-duplication graph and, with sharing
+    off, as its residual graph. The counts equal the
+    :meth:`~InterconnectPlan.component_counts` of
+    ``design_interconnect(app, graph, config.noc_only())`` without
+    re-running duplication, recording provenance or placing a mesh.
     """
-    decided = InterconnectDesigner(app, graph, config, tracer=tracer).decide()
-    return decided.graph, bill_of_materials(
-        decided.graph, decided.sharing, decided.mappings
-    )
+    reference = config.noc_only()
+    mappings = {
+        name: map_kernel(name, plan.graph, reference)[0]
+        for name in plan.graph.kernel_names()
+    }
+    return bill_of_materials(plan.graph, (), mappings)

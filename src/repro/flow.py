@@ -6,9 +6,10 @@ application:
 1. execute the instrumented application and extract the QUAD-style
    communication profile;
 2. calibrate the platform quantities (see :mod:`repro.apps.calibration`);
-3. run Algorithm 1 to design the custom interconnect, and price the
-   paper's NoC-only comparison system from its decision stages (the
-   placed NoC-only plan is designed only when read);
+3. run Algorithm 1 once to design the custom interconnect, and price
+   the paper's NoC-only comparison system from that plan's
+   post-duplication graph (the placed NoC-only plan is designed only
+   when read);
 4. evaluate analytically (Eq. 2 + Δ model) and by discrete-event
    simulation (contention included);
 5. estimate resources (Table IV) and energy (Fig. 9).
@@ -32,7 +33,7 @@ from .core.analytic import AnalyticModel, SpeedupPair, SystemTimes
 from .core.designer import (
     DesignConfig,
     design_interconnect,
-    price_interconnect,
+    price_noc_only,
 )
 from .core.plan import InterconnectPlan
 from .errors import ConfigurationError
@@ -227,9 +228,7 @@ def run_experiment(
         with tracer.span("design", app=name):
             plan = design_interconnect(name, fitted.graph, config, tracer=tracer)
         with tracer.span("design.noc_only", app=name):
-            noc_only_graph, noc_only_counts = price_interconnect(
-                f"{name}-noc-only", fitted.graph, config.noc_only(), tracer=tracer
-            )
+            noc_only_counts = price_noc_only(plan, config)
 
         lint_report: Optional[AnalysisReport] = None
         if lint:
@@ -277,19 +276,15 @@ def run_experiment(
                 for k in fitted.graph.kernel_names()
             ]
             synth_base = estimate_baseline(original_costs)
+            # The NoC-only system duplicates as the plan does, so both
+            # price the plan's kernels.
+            plan_costs = [
+                plan.graph.kernel(k).resources for k in plan.graph.kernel_names()
+            ]
             synth_prop = estimate_system(
-                "proposed",
-                [plan.graph.kernel(k).resources for k in plan.graph.kernel_names()],
-                plan.component_counts(),
+                "proposed", plan_costs, plan.component_counts()
             )
-            synth_noc = estimate_system(
-                "noc_only",
-                [
-                    noc_only_graph.kernel(k).resources
-                    for k in noc_only_graph.kernel_names()
-                ],
-                noc_only_counts,
-            )
+            synth_noc = estimate_system("noc_only", plan_costs, noc_only_counts)
 
         with tracer.span("energy", app=name):
             energy = compare_energy(

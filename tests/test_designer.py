@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import CommGraph, DesignConfig, KernelSpec, design_interconnect
 from repro.core.plan import memory_node
 from repro.core.topology import KernelAttach, MemoryAttach
 from repro.errors import DesignError
+from repro.explore.pareto import VARIANTS
 from repro.hw.resources import ComponentKind, ResourceCost
 
 THETA = 1.3e-9
@@ -117,7 +120,8 @@ class TestConfigVariants:
         assert noc.router_count == 2 * n_kernels
 
     def test_bus_only_is_pure_baseline(self):
-        plan = design_interconnect("x", jpeg_like_graph(), config().bus_only())
+        bus_only = replace(config(), **dict(VARIANTS)["bus-only"])
+        plan = design_interconnect("x", jpeg_like_graph(), bus_only)
         assert plan.noc is None
         assert plan.sharing == ()
         assert plan.pipeline == ()
