@@ -40,7 +40,7 @@ def bench_metrics(request):
 
     def _export():
         snap = registry.snapshot()
-        if not any(snap[k] for k in ("counters", "gauges", "timers", "histograms")):
+        if not any(snap[k] for k in ("counters", "gauges", "timers")):
             return
         OUT_DIR.mkdir(exist_ok=True)
         write_metrics(snap, OUT_DIR / "bench_metrics.json")

@@ -33,9 +33,6 @@
 * ``serve`` — run the networked design service (``repro.server``):
   JSON design/sweep API, SSE streaming sweeps, per-tenant quotas,
   admission control, Prometheus ``/metrics``, graceful SIGTERM drain;
-* ``loadtest`` — drive a running server with concurrent clients and
-  report served p50/p95/p99 latency, a bucketed latency histogram, and
-  error rates (gated with ``--max-error-rate``);
 * ``top`` — live dashboard over a running server's ``/v1/debug``
   runtime introspection endpoint (``--once`` for a single snapshot,
   ``--json`` for the raw machine-readable document);
@@ -312,23 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recent events to show per ring (default 15)")
     p.add_argument("--frames", type=int, default=12, metavar="N",
                    help="stack frames to show per thread (default 12)")
-
-    p = sub.add_parser(
-        "loadtest",
-        help="drive a running repro server; report served p50/p99",
-    )
-    p.add_argument("--url", required=True,
-                   help="server base URL, e.g. http://127.0.0.1:8014")
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--concurrency", type=int, default=8)
-    p.add_argument("--apps", nargs="+", default=None,
-                   help="applications to request (default: all four)")
-    p.add_argument("--tenant", default=None,
-                   help="X-Tenant header for every request")
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="write the full loadtest-report JSON here")
-    p.add_argument("--max-error-rate", type=float, default=None,
-                   help="exit 1 if the error rate exceeds this")
 
     p = sub.add_parser("pareto", help="time/area Pareto front of designer configs")
     _add_app_argument(p)
@@ -777,40 +757,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return serve(config, ready=_announce)
 
 
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    from .io import save_json
-    from .server.loadtest import (
-        DEFAULT_APPS,
-        LoadtestConfig,
-        format_report,
-        run_loadtest,
-    )
-
-    config = LoadtestConfig(
-        url=args.url,
-        apps=tuple(args.apps) if args.apps else DEFAULT_APPS,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        tenant=args.tenant,
-    )
-    report = run_loadtest(config)
-    print(format_report(report))
-    if args.json_out:
-        save_json(report, args.json_out)
-        print(f"  report written to {args.json_out}")
-    if (
-        args.max_error_rate is not None
-        and report["error_rate"] > args.max_error_rate
-    ):
-        print(
-            f"FAIL: error rate {report['error_rate']:.3f} exceeds "
-            f"--max-error-rate {args.max_error_rate:.3f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_top(args: argparse.Namespace) -> int:
     from .obs.runtime.debug import render_top
     from .server import DesignClient
@@ -939,7 +885,6 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "fuzz": cmd_fuzz,
     "serve": cmd_serve,
-    "loadtest": cmd_loadtest,
     "top": cmd_top,
     "postmortem": cmd_postmortem,
     "apps": cmd_apps,

@@ -3,6 +3,8 @@
 Both operate on the :meth:`repro.service.metrics.MetricsRegistry.snapshot`
 shape, so the service facade, the sweep CLI, the simulator statistics
 publisher and the benchmark harness all export through one schema.
+Counters and gauges map one-to-one; a timer becomes a ``summary`` with
+p50/p95/p99 quantiles, ``_count`` and ``_sum``.
 Unknown top-level snapshot keys (``cache``, ``last_mode``) are folded in
 where they map naturally and preserved verbatim in JSON output.
 """
@@ -87,16 +89,6 @@ def to_prometheus(snapshot: Mapping[str, Any]) -> str:
             lines.append(f"{pname}{qsuffix} {stats[field_name]}")
         lines.append(f"{pname}_count{suffix} {stats['count']}")
         lines.append(f"{pname}_sum{suffix} {stats['mean_s'] * stats['count']}")
-
-    for key, h in snapshot.get("histograms", {}).items():
-        name, suffix = _split_key(key)
-        pname = _prom_name(name)
-        declare(pname, "histogram")
-        for le, count in h["buckets"].items():
-            bsuffix = _with_label(suffix, f'le="{le}"')
-            lines.append(f"{pname}_bucket{bsuffix} {count}")
-        lines.append(f"{pname}_count{suffix} {h['count']}")
-        lines.append(f"{pname}_sum{suffix} {h['sum']}")
 
     return "\n".join(lines) + "\n"
 

@@ -13,9 +13,8 @@ in-process pipeline because both sides serialize the same
 Layering (each module only imports downward):
 
 ``runtime`` → ``app`` → {``admission``, ``quota``, ``protocol``,
-``http``} → ``repro.service``. The blocking ``client``
-and the ``loadtest`` harness sit beside the server and speak only the
-wire protocol.
+``http``} → ``repro.service``. The blocking ``client`` sits beside the
+server and speaks only the wire protocol.
 """
 
 from ..obs.runtime.events import NULL_LOG, EventLog
@@ -28,7 +27,6 @@ from ..obs.runtime.tracecontext import (
 from .admission import AdmissionController
 from .app import DesignServer, ServerConfig
 from .client import DesignClient
-from .loadtest import LoadtestConfig, run_loadtest
 from .quota import QuotaManager, sanitize_tenant
 from .runtime import ServerHandle, run_server, serve, start_in_thread
 
@@ -37,7 +35,6 @@ __all__ = [
     "DesignClient",
     "DesignServer",
     "EventLog",
-    "LoadtestConfig",
     "NULL_LOG",
     "QuotaManager",
     "ServerConfig",

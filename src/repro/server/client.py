@@ -2,8 +2,8 @@
 
 A deliberately small ``http.client``-based client (no sessions, one
 connection per request — mirroring the server's connection-per-request
-model) used by the test suite, the smoke driver, and the ``repro
-loadtest`` harness. It speaks exactly the :mod:`repro.server.protocol`
+model) used by the test suite, the CI smoke driver and the benchmark
+harness. It speaks exactly the :mod:`repro.server.protocol`
 documents and translates HTTP failure statuses into
 :class:`~repro.errors.ServerError` carrying the parsed ``Retry-After``.
 
@@ -14,9 +14,12 @@ before the terminal ``done`` event raises :class:`ServerError` instead
 of returning silently short, and so does a connection that fails
 (reset, closed, malformed) while a response is being read: callers see
 a complete result or a typed ``ServerError(status=0)``, never a raw
-socket error. A 2xx body or stream event that is not valid JSON raises
-:class:`~repro.errors.ProtocolError` (a ``ServerError``) carrying the
-status, never an empty document.
+socket error. A fixed-length response without ``Content-Length`` was
+cut inside its header block (``http.client`` ends header parsing at EOF
+without error, and every fixed-length response the server sends carries
+one), so it is truncated too. A 2xx body or stream event that is not
+valid JSON raises :class:`~repro.errors.ProtocolError` (a
+``ServerError``) carrying the status, never an empty document.
 
 Every request mints a fresh W3C trace context and sends it as a
 ``traceparent`` header; the server adopts the trace id, threads it
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from http.client import HTTPConnection, HTTPException, HTTPResponse
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from ..errors import ProtocolError, ServerError
@@ -50,6 +53,16 @@ def _truncation_is_server_error(what: str) -> Iterator[None]:
             f"({type(exc).__name__}: {exc})",
             status=0,
         ) from exc
+
+
+def _read_whole(resp: HTTPResponse, what: str) -> bytes:
+    """Read a fixed-length response body; raise if the head was cut."""
+    if resp.length is None and not resp.chunked:
+        raise ServerError(
+            f"{what} truncated: header block ended without Content-Length",
+            status=0,
+        )
+    return resp.read()
 
 
 class DesignClient:
@@ -152,9 +165,10 @@ class DesignClient:
                 conn.request(
                     method, path, body=payload, headers=self._headers(ctx)
                 )
-                with _truncation_is_server_error(f"{method} {path} response"):
+                what = f"{method} {path} response"
+                with _truncation_is_server_error(what):
                     resp = conn.getresponse()
-                    raw = resp.read()
+                    raw = _read_whole(resp, what)
                 return self._raise_for_status(resp, raw)
         finally:
             conn.close()
@@ -235,7 +249,9 @@ class DesignClient:
             with _truncation_is_server_error("sweep stream"):
                 resp = conn.getresponse()
                 if resp.status != 200:
-                    self._raise_for_status(resp, resp.read())
+                    self._raise_for_status(
+                        resp, _read_whole(resp, "sweep stream")
+                    )
 
             def _lines() -> Iterator[str]:
                 while True:
@@ -303,17 +319,12 @@ class DesignClient:
         conn = self._connect()
         try:
             conn.request("GET", "/metrics", headers=self._headers())
-            with _truncation_is_server_error("GET /metrics response"):
+            what = "GET /metrics response"
+            with _truncation_is_server_error(what):
                 resp = conn.getresponse()
-                raw = resp.read()
+                raw = _read_whole(resp, what)
             if resp.status != 200:
                 self._raise_for_status(resp, raw)
             return raw.decode("utf-8")
         finally:
             conn.close()
-
-    def design_many(
-        self, requests: Sequence[Mapping[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Convenience serial loop over :meth:`design` kwargs dicts."""
-        return [self.design(**dict(req)) for req in requests]

@@ -1,8 +1,8 @@
-"""Counters, gauges, timers and histograms for the service and obs layers.
+"""Counters, gauges and timers for the service and obs layers.
 
 No external metrics stack: a registry of named monotonic counters,
-last-value gauges, timers (observation lists) and bucketed histograms,
-with nearest-rank percentiles and a plain-text snapshot renderer for
+last-value gauges and timers (observation lists), with nearest-rank
+percentiles and a plain-text snapshot renderer for
 ``repro sweep --stats``-style output. Everything is in-process and
 deterministic — timers record whatever the caller observed, the registry
 never reads the clock itself (use :func:`repro.obs.timed` for that).
@@ -17,7 +17,7 @@ callbacks from thread pools (``ProcessPoolExecutor`` delivers results on
 arbitrary threads) cannot lose updates. Worker *processes* keep their own
 registry and ship :meth:`MetricsRegistry.dump` back for
 :meth:`MetricsRegistry.merge` — counters add, timers concatenate, gauges
-take the incoming value (latest wins), histogram buckets add.
+take the incoming value (latest wins).
 
 Empty-series policy (documented, NaN-free): ``percentile([])`` and every
 stat of an unobserved timer return ``0.0`` with ``count == 0`` — callers
@@ -34,12 +34,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs.export import escape_label_value
-
-#: Default histogram bucket upper bounds (seconds) — job latencies.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-)
-
 
 def metric_key(name: str, labels: Optional[Mapping[str, Any]] = None) -> str:
     """Series key: ``name`` or ``name{k="v",...}`` with sorted labels.
@@ -99,16 +93,13 @@ def _timer_stats_of(obs: Sequence[float]) -> Dict[str, float]:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, latency timers and histograms."""
+    """Named counters, gauges and latency timers."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._timers: Dict[str, List[float]] = {}
-        #: key -> {"bounds": tuple, "counts": per-bucket list (+overflow),
-        #:         "sum": float, "count": int}
-        self._hists: Dict[str, Dict[str, Any]] = {}
 
     # -- counters -----------------------------------------------------------
     def incr(
@@ -156,59 +147,9 @@ class MetricsRegistry:
             obs = list(self._timers.get(metric_key(name, labels), ()))
         return _timer_stats_of(obs)
 
-    # -- histograms ---------------------------------------------------------
-    def hist(
-        self, name: str, value: float,
-        labels: Optional[Mapping[str, Any]] = None,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        """Record ``value`` into a bucketed histogram.
-
-        Bucket bounds are fixed by the first observation of a series;
-        later observations with different bounds are rejected loudly.
-        """
-        key = metric_key(name, labels)
-        bounds = tuple(float(b) for b in buckets)
-        if list(bounds) != sorted(bounds):
-            raise ConfigurationError(f"histogram buckets must be sorted: {bounds}")
-        with self._lock:
-            h = self._hists.get(key)
-            if h is None:
-                h = {
-                    "bounds": bounds,
-                    "counts": [0] * (len(bounds) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                }
-                self._hists[key] = h
-            elif h["bounds"] != bounds:
-                raise ConfigurationError(
-                    f"histogram {key!r} bounds changed: "
-                    f"{h['bounds']} -> {bounds}"
-                )
-            idx = len(h["bounds"])
-            for i, bound in enumerate(h["bounds"]):
-                if value <= bound:
-                    idx = i
-                    break
-            h["counts"][idx] += 1
-            h["sum"] += value
-            h["count"] += 1
-
-    @staticmethod
-    def _hist_snapshot(h: Dict[str, Any]) -> Dict[str, Any]:
-        """Cumulative-bucket view (Prometheus ``le`` semantics)."""
-        cumulative: Dict[str, int] = {}
-        running = 0
-        for bound, count in zip(h["bounds"], h["counts"]):
-            running += count
-            cumulative[repr(bound)] = running
-        cumulative["+Inf"] = running + h["counts"][-1]
-        return {"count": h["count"], "sum": h["sum"], "buckets": cumulative}
-
     # -- snapshots -----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Point-in-time view: counters, gauges, timer stats, histograms.
+        """Point-in-time view: counters, gauges and timer stats.
 
         Everything is *copied under one lock acquisition* — including
         the raw timer observation lists, whose stats are then computed
@@ -225,17 +166,12 @@ class MetricsRegistry:
                 name: list(obs)
                 for name, obs in sorted(self._timers.items())
             }
-            hists = {
-                name: self._hist_snapshot(h)
-                for name, h in sorted(self._hists.items())
-            }
         return {
             "counters": counters,
             "gauges": gauges,
             "timers": {
                 name: _timer_stats_of(obs) for name, obs in timers.items()
             },
-            "histograms": hists,
         }
 
     def dump(self) -> Dict[str, Any]:
@@ -245,23 +181,13 @@ class MetricsRegistry:
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
                 "timers": {k: list(v) for k, v in self._timers.items()},
-                "histograms": {
-                    k: {
-                        "bounds": list(h["bounds"]),
-                        "counts": list(h["counts"]),
-                        "sum": h["sum"],
-                        "count": h["count"],
-                    }
-                    for k, h in self._hists.items()
-                },
             }
 
     def merge(self, other: Mapping[str, Any]) -> None:
         """Aggregate another registry's :meth:`dump` into this one.
 
         Counters add; timers concatenate raw observations (so
-        percentiles stay exact); gauges take the incoming value;
-        histograms add bucket-wise (bounds must match).
+        percentiles stay exact); gauges take the incoming value.
         """
         with self._lock:
             for key, value in other.get("counters", {}).items():
@@ -270,26 +196,6 @@ class MetricsRegistry:
                 self._gauges[key] = float(value)
             for key, obs in other.get("timers", {}).items():
                 self._timers.setdefault(key, []).extend(obs)
-            for key, h in other.get("histograms", {}).items():
-                bounds = tuple(float(b) for b in h["bounds"])
-                mine = self._hists.get(key)
-                if mine is None:
-                    self._hists[key] = {
-                        "bounds": bounds,
-                        "counts": list(h["counts"]),
-                        "sum": h["sum"],
-                        "count": h["count"],
-                    }
-                    continue
-                if mine["bounds"] != bounds:
-                    raise ConfigurationError(
-                        f"cannot merge histogram {key!r}: bounds differ"
-                    )
-                mine["counts"] = [
-                    a + b for a, b in zip(mine["counts"], h["counts"])
-                ]
-                mine["sum"] += h["sum"]
-                mine["count"] += h["count"]
 
     def render(self, extra: Tuple[Tuple[str, Any], ...] = ()) -> str:
         """Human-readable snapshot; ``extra`` rows are appended verbatim."""
@@ -306,10 +212,6 @@ class MetricsRegistry:
                 f" p50={stats['p50_s'] * 1e3:.2f}ms"
                 f" p95={stats['p95_s'] * 1e3:.2f}ms"
                 f" p99={stats['p99_s'] * 1e3:.2f}ms"
-            )
-        for name, h in snap["histograms"].items():
-            lines.append(
-                f"  {name:<28} n={h['count']} sum={h['sum']:.4f}"
             )
         for name, value in extra:
             if isinstance(value, float):

@@ -248,18 +248,6 @@ class TestMetricsExtensions:
         snap = m.snapshot()
         assert snap["counters"]['reqs{app="jpeg"}'] == 1
 
-    def test_histogram_buckets_cumulative(self):
-        m = MetricsRegistry()
-        for v in (0.5, 1.5, 99.0):
-            m.hist("size", v, buckets=(1.0, 2.0))
-        h = m.snapshot()["histograms"]["size"]
-        assert h["count"] == 3
-        assert h["buckets"]["1.0"] == 1
-        assert h["buckets"]["2.0"] == 2
-        assert h["buckets"]["+Inf"] == 3
-        with pytest.raises(ConfigurationError):
-            m.hist("size", 1.0, buckets=(5.0, 10.0))
-
     def test_merge_semantics(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.incr("c", 1)
@@ -268,19 +256,10 @@ class TestMetricsExtensions:
         b.observe("t", 0.3)
         a.gauge("g", 1.0)
         b.gauge("g", 2.0)
-        b.hist("h", 0.5, buckets=(1.0,))
         a.merge(b.dump())
         assert a.counter("c") == 3
         assert a.timer_stats("t")["count"] == 2
         assert a.gauge_value("g") == 2.0
-        assert a.snapshot()["histograms"]["h"]["count"] == 1
-
-    def test_merge_rejects_mismatched_bounds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.hist("h", 0.5, buckets=(1.0,))
-        b.hist("h", 0.5, buckets=(2.0,))
-        with pytest.raises(ConfigurationError):
-            a.merge(b.dump())
 
     def test_thread_safety_smoke(self):
         import threading
@@ -312,7 +291,6 @@ class TestExporters:
         m.incr("jobs_completed", 3, labels={"app": "jpeg"})
         m.gauge("utilization", 0.5)
         m.observe("latency", 0.2)
-        m.hist("bytes", 0.7, buckets=(1.0,))
         return m
 
     def test_prometheus_exposition(self):
@@ -322,7 +300,6 @@ class TestExporters:
         assert "# TYPE repro_utilization gauge" in text
         assert 'repro_latency_seconds{quantile="0.99"} 0.2' in text
         assert "repro_latency_seconds_count 1" in text
-        assert 'repro_bytes_bucket{le="+Inf"} 1' in text
 
     def test_prometheus_ignores_foreign_keys(self):
         snap = self._populated().snapshot()

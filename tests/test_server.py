@@ -16,6 +16,7 @@ import socket
 import struct
 import threading
 import time
+from typing import Optional
 
 import pytest
 
@@ -671,17 +672,21 @@ def _cut_connection_after(response: bytes, close: str, call) -> ServerError:
     return err.value
 
 
-def _record_response(url: str, path: str, body: dict) -> bytes:
-    """The raw bytes a live server answers one ``POST`` with."""
+def _record_response(
+    url: str, method: str, path: str, body: Optional[dict] = None
+) -> bytes:
+    """The raw bytes a live server answers one request with."""
     host, _, port = url.removeprefix("http://").partition(":")
-    payload = json.dumps(body).encode("utf-8")
-    with socket.create_connection((host, int(port)), timeout=60) as sock:
-        sock.sendall(
-            f"POST {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+    head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+    payload = b""
+    if body is not None:
+        payload = json.dumps(body).encode("utf-8")
+        head += (
             f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n\r\n".encode("ascii")
-            + payload
+            f"Content-Length: {len(payload)}\r\n"
         )
+    with socket.create_connection((host, int(port)), timeout=60) as sock:
+        sock.sendall(f"{head}\r\n".encode("ascii") + payload)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
@@ -769,18 +774,36 @@ class TestTruncatedStream:
         assert [name for name, _ in events][-1] == "done"
 
 
+def _assert_every_cut_is_truncated(recorded: bytes, close: str, call) -> None:
+    """Every proper prefix of ``recorded`` must raise ``ServerError(0)``."""
+    for cut in range(len(recorded)):
+        where = f"cut at byte {cut} of {len(recorded)} ({close})"
+        try:
+            got = _serve_once(recorded[:cut], close, call)
+        except ServerError as exc:
+            assert type(exc) is ServerError and exc.status == 0, (
+                f"{where} raised {type(exc).__name__}"
+                f"(status={exc.status}): {exc}"
+            )
+            continue
+        except Exception as exc:
+            pytest.fail(f"{where} raised raw {type(exc).__name__}: {exc}")
+        pytest.fail(f"{where} returned {got!r}")
+
+
 class TestDesignCutAtEveryOffset:
     """A recorded ``/v1/design`` response, replayed and cut at every byte.
 
     Each cut is served once with FIN and once with RST, one offset at a
     time. Only the whole response may return a result; every shorter
-    one must raise ``ServerError(status=0)`` or ``ProtocolError``, never
-    a raw ``OSError``, ``http.client`` exception or ``ValueError``.
+    one must raise the transport's ``ServerError(status=0)``, never a
+    ``ProtocolError``, a raw ``OSError``, ``http.client`` exception or
+    ``ValueError``.
     """
 
     @pytest.fixture(scope="class")
     def recorded(self, server):
-        raw = _record_response(server.url, "/v1/design", {
+        raw = _record_response(server.url, "POST", "/v1/design", {
             "app": "klt", "scale": 1, "seed": 2014, "simulate": False,
         })
         assert raw.startswith(b"HTTP/1.1 200 ")
@@ -794,18 +817,34 @@ class TestDesignCutAtEveryOffset:
         served = json.loads(recorded.partition(b"\r\n\r\n")[2])
         assert served["kind"] == "design-response"
         assert _serve_once(recorded, close, design) == served
-        for cut in range(len(recorded)):
-            where = f"cut at byte {cut} of {len(recorded)} ({close})"
-            try:
-                got = _serve_once(recorded[:cut], close, design)
-            except ProtocolError:
-                continue
-            except ServerError as exc:
-                assert exc.status == 0, where
-                continue
-            except Exception as exc:
-                pytest.fail(f"{where} raised raw {type(exc).__name__}: {exc}")
-            pytest.fail(f"{where} returned {got!r}")
+        _assert_every_cut_is_truncated(recorded, close, design)
+
+
+class TestMetricsCutAtEveryOffset:
+    """A recorded ``GET /metrics`` response, replayed and cut at every byte.
+
+    The whole response returns the served exposition text; every shorter
+    one, FIN or RST, must raise ``ServerError(status=0)``. Cuts inside
+    the header block matter most: ``http.client`` parses them without
+    error as a 200 with no body, which must not read as an empty scrape.
+    """
+
+    @pytest.fixture(scope="class")
+    def recorded(self, server):
+        DesignClient(server.url).design("klt", simulate=False)
+        raw = _record_response(server.url, "GET", "/metrics")
+        assert raw.startswith(b"HTTP/1.1 200 ")
+        return raw
+
+    @pytest.mark.parametrize("close", ["fin", "rst"])
+    def test_only_the_whole_response_returns(self, recorded, close):
+        def scrape(url):
+            return DesignClient(url).metrics()
+
+        served = recorded.partition(b"\r\n\r\n")[2].decode("utf-8")
+        assert "repro_http_requests" in served
+        assert _serve_once(recorded, close, scrape) == served
+        _assert_every_cut_is_truncated(recorded, close, scrape)
 
 
 class TestQuotaOverHttp:

@@ -16,15 +16,18 @@ every externally-observable behaviour the server promises:
 6. ``GET /metrics`` exposes the expected Prometheus families;
 7. ``GET /v1/debug`` returns the runtime introspection document with
    every promised section, and ``render_top`` can draw it;
-8. trace propagation: a dedicated traced in-process server proves that
+8. concurrent load: 200 warm-cache ``POST /v1/design`` requests (the
+   four applications, round-robin) from 8 client threads all succeed —
+   any ``ServerError`` (a 429 included) or transport error fails it;
+9. trace propagation: a dedicated traced in-process server proves that
    one request produces ``client_request`` → ``http_request`` → ``job``
    spans all carrying the same W3C trace id, which is also echoed in
    the response envelope; ``--trace-out`` writes the merged spans as a
    chrome://tracing-loadable artifact;
-9. the quota path: a *separate* in-process server with a near-zero
-   per-tenant rate answers the second request with 429 and a
-   ``Retry-After`` hint, and the rejection is visible (with the tenant
-   label intact) in its ``/metrics``.
+10. the quota path: a *separate* in-process server with a near-zero
+    per-tenant rate answers the second request with 429 and a
+    ``Retry-After`` hint, and the rejection is visible (with the tenant
+    label intact) in its ``/metrics``.
 
 Exit code 0 means every check passed. Any assertion failure or
 transport error is fatal — this script is a CI gate, not a report.
@@ -36,6 +39,7 @@ import argparse
 import json
 import pathlib
 import sys
+import threading
 import time
 from typing import List, Optional, Sequence
 
@@ -48,6 +52,10 @@ from repro.server import DesignClient, ServerConfig, start_in_thread
 from repro.service import DesignService
 
 APPS = ("canny", "jpeg", "klt", "fluid")
+
+#: Requests and client threads of the concurrent-load check.
+LOAD_REQUESTS = 200
+LOAD_CLIENTS = 8
 
 
 def wait_ready(client: DesignClient, timeout_s: float = 30.0) -> None:
@@ -133,6 +141,45 @@ def check_debug(client: DesignClient) -> None:
           f"{sum(counts.values())} events logged, top renders")
 
 
+def check_concurrent_load(url: str, tenant: str) -> None:
+    """Warm-cache designs from concurrent clients; one failure fails it."""
+    failures: List[str] = []
+    ok = [0] * LOAD_CLIENTS
+
+    def drive(worker: int) -> None:
+        client = DesignClient(url, tenant=tenant)
+        for i in range(worker, LOAD_REQUESTS, LOAD_CLIENTS):
+            try:
+                doc = client.design(APPS[i % len(APPS)])
+            except (ServerError, OSError) as exc:
+                failures.append(f"request {i}: {type(exc).__name__}: {exc}")
+                continue
+            if doc.get("kind") != "design-response":
+                failures.append(f"request {i}: kind {doc.get('kind')!r}")
+                continue
+            ok[worker] += 1
+
+    threads = [
+        threading.Thread(target=drive, args=(w,), name=f"load-{w}")
+        for w in range(LOAD_CLIENTS)
+    ]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - start
+    assert not failures, (
+        f"{len(failures)} of {LOAD_REQUESTS} load requests failed; "
+        f"first: {failures[0]}"
+    )
+    assert sum(ok) == LOAD_REQUESTS, (
+        f"only {sum(ok)} of {LOAD_REQUESTS} load requests succeeded"
+    )
+    print(f"  load: {LOAD_REQUESTS} warm designs over {LOAD_CLIENTS} "
+          f"clients, 0 errors in {elapsed:.2f}s")
+
+
 def check_trace_propagation(trace_out: Optional[str]) -> None:
     """One request must yield a connected client→server→worker trace."""
     tracer = Tracer()  # shared by the server and its service
@@ -215,6 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     check_stream(client)
     check_metrics(client)
     check_debug(client)
+    check_concurrent_load(args.url, args.tenant)
     check_trace_propagation(args.trace_out)
     check_quota_429()
     print("server smoke: all checks passed")
